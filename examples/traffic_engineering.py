@@ -44,8 +44,7 @@ def main() -> None:
             for hop, nxt in zip(path, path[1:]):
                 entry = FlowEntry(app.alloc.entry_id(), path[-1], nxt, -1)
                 network[hop].flow_table[entry.entry_id] = entry
-                controller.state.routing_view.put((hop, entry.entry_id), -1)
-                controller.state.protected_entries.add((hop, entry.entry_id))
+                controller.state.protect_entry(hop, entry.entry_id)
 
     monitor = TrafficMonitor(env, network, flows, period=0.5)
 

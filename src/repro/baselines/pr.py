@@ -203,19 +203,19 @@ class PrUpTopoEventHandler(PrTopoEventHandler):
 def fix_switch_against_snapshot(state: ControllerState,
                                 config: ControllerConfig,
                                 event: SnapshotEvent,
-                                intended: Optional[set] = None) -> int:
+                                dag_intent: Optional[dict] = None) -> int:
     """Reconcile one switch's recorded state against a table snapshot.
 
     Resets intended-but-missing INSTALL OPs (so their DAGs reinstall
     them), deletes entries no active DAG wants, and syncs the routing
     view.  Returns the number of inconsistencies fixed.  This is the
-    shared fixing logic of the periodic reconciler, PRUp and ODL.
+    shared fixing logic of the periodic reconciler, PRUp and ODL; a
+    caller fixing many switches passes one
+    :meth:`ControllerState.dag_intent_by_switch` for all of them.
     """
     switch = event.switch
     present = {entry.entry_id for entry in event.entries}
-    if intended is None:
-        intended = state.intended_entries()
-    intended_here = {entry_id for (sw, entry_id) in intended if sw == switch}
+    intended_here = state.intended_entries(switch, dag_intent)
     # The believed view must be captured *before* the fixes mutate it,
     # otherwise the final sync would resurrect entries we just deleted.
     believed_before = set(state.view_of_switch(switch))
@@ -238,7 +238,9 @@ def fix_switch_against_snapshot(state: ControllerState,
             fixes += 1
     for dag_id in sorted(touched):
         state.reactivate_dag(dag_id)
-    # Alien entries: delete them directly.
+    # Alien entries: delete them directly.  The DELETEs take xids in
+    # this set's iteration order, so how it is built is part of the
+    # simulated behaviour: keep it one difference of ``present``.
     aliens = present - intended_here
     for entry_id in aliens:
         state.to_switch_queue(switch).put(
@@ -285,10 +287,10 @@ class Reconciler(Component):
         start = self.env.now
         snapshots = yield from self._gather_snapshots()
         yield from self._push_through_nib(snapshots)
-        intended = self.state.intended_entries()
+        dag_intent = self.state.dag_intent_by_switch()
         for event in snapshots:
             self.fixes_applied += fix_switch_against_snapshot(
-                self.state, self.config, event, intended=intended)
+                self.state, self.config, event, dag_intent)
         self.cycles_completed += 1
         self.cycle_log.append((start, self.env.now))
         if self.env._tracing:
@@ -330,13 +332,11 @@ class Reconciler(Component):
 
     def _push_through_nib(self, snapshots: list[SnapshotEvent]):
         """The Fig. 4(b) bottleneck: serialized per-entry NIB updates."""
-        writes = []
-        for event in snapshots:
-            for entry in event.entries:
-                writes.append(("reconciler.staging",
-                               (event.switch, entry.entry_id), True))
-        if writes:
-            yield from self.state.nib.bulk_update(writes, owner=self.name)
+        if any(event.entries for event in snapshots):
+            yield from self.state.nib.bulk_update(
+                (("reconciler.staging", (event.switch, entry.entry_id), True)
+                 for event in snapshots for entry in event.entries),
+                owner=self.name)
         self.state.nib.table("reconciler.staging").clear()
 
 

@@ -208,7 +208,7 @@ class ConsistencyMonitor:
                            f"{switch}/entry {entry_id} (dag {dag_id})")
                     conditions[key] = {"switch": switch,
                                        "entry": entry_id, "dag": dag_id}
-        for switch, entry_id in sorted(state.protected_entries):
+        for switch, entry_id in state.protected_entries():
             if switch in healthy and \
                     entry_id not in actual.get(switch, frozenset()):
                 key = ("certified-not-installed",

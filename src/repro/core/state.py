@@ -54,19 +54,34 @@ class ControllerState:
         #: op_id → sim time of the last status transition (used by the
         #: PR baseline's deadlock-timeout sweeper).
         self.op_status_at = nib.table(f"{namespace}.op_status_at")
-        # Secondary index: switch → op ids (kept by _index_op).
+        # Secondary indexes by switch.  Each follows its table through a
+        # watcher, so writes that bypass the accessors stay indexed.
         self._ops_by_switch: dict[str, set[int]] = {}
         self.op_table.watch(self._index_op)
-        #: Standing intent owned by other tenants/apps, registered
-        #: without per-OP bookkeeping (memory-lean background state for
-        #: scale experiments): reconciliation must keep these entries.
-        self.protected_entries: set[tuple[str, int]] = set()
+        #: switch → {entry_id: op_id}: R_c, in ``routing_view`` order.
+        self._view_by_switch: dict[str, dict[int, int]] = {}
+        self.routing_view.watch(self._index_view)
+        #: switch → entry ids of standing intent owned by other
+        #: tenants/apps, registered without per-OP bookkeeping (memory-
+        #: lean background state for scale experiments): reconciliation
+        #: must keep these entries.  Filled by :meth:`protect_entry`.
+        self._protected_by_switch: dict[str, set[int]] = {}
 
     def _index_op(self, write) -> None:
         if write.new is not None:
             self._ops_by_switch.setdefault(write.new.switch, set()).add(write.key)
         elif write.old is not None:
             self._ops_by_switch.get(write.old.switch, set()).discard(write.key)
+
+    def _index_view(self, write) -> None:
+        switch, entry_id = write.key
+        view = self._view_by_switch.get(switch)
+        if write.new is not None:
+            if view is None:
+                view = self._view_by_switch[switch] = {}
+            view[entry_id] = write.new
+        elif view is not None:
+            view.pop(entry_id, None)
 
     # -- queues ---------------------------------------------------------------
     def dag_request_queue(self) -> AckQueue:
@@ -127,23 +142,49 @@ class ControllerState:
         self.op_status.put(op_id, status)
         self.op_status_at.put(op_id, self.nib.env.now)
 
-    def intended_entries(self) -> set[tuple[str, int]]:
-        """(switch, entry_id) pairs the standing intent installs.
+    # -- standing intent ----------------------------------------------------------
+    def protect_entry(self, switch: str, entry_id: int) -> None:
+        """Adopt an entry already on ``switch`` as another tenant's intent.
 
-        The union of install entries over every DAG that is not stale or
-        removed — what periodic reconciliation diffs switch state
-        against.
+        Recorded in R_c under op id -1 and kept by every reconciliation.
         """
-        from .types import DagStatus
+        self.routing_view.put((switch, entry_id), -1)
+        self._protected_by_switch.setdefault(switch, set()).add(entry_id)
 
-        intended: set[tuple[str, int]] = set(self.protected_entries)
+    def protected_entries(self) -> list[tuple[str, int]]:
+        """Sorted (switch, entry_id) pairs registered by :meth:`protect_entry`."""
+        return sorted((switch, entry_id)
+                      for switch, ids in self._protected_by_switch.items()
+                      for entry_id in ids)
+
+    def dag_intent_by_switch(self) -> dict[str, set[int]]:
+        """switch → entry ids installed by DAGs not stale or removed.
+
+        One pass over the DAG intent; a reconciliation cycle takes it
+        once and hands it to :meth:`intended_entries` per switch.
+        """
+        intent: dict[str, set[int]] = {}
         for dag_id, status in self.dag_status.items():
             if status in (DagStatus.STALE, DagStatus.REMOVED):
                 continue
             dag = self.dag_table.get(dag_id)
             if dag is not None:
-                intended |= dag.install_entries()
-        return intended
+                for switch, entry_id in dag.install_entries():
+                    intent.setdefault(switch, set()).add(entry_id)
+        return intent
+
+    def intended_entries(self, switch: str,
+                         dag_intent: Optional[dict[str, set[int]]] = None
+                         ) -> set[int]:
+        """Entry ids the standing intent wants on ``switch``.
+
+        Protected entries plus the installs of every DAG that is not
+        stale or removed — what reconciliation diffs the switch against.
+        """
+        if dag_intent is None:
+            dag_intent = self.dag_intent_by_switch()
+        return set().union(self._protected_by_switch.get(switch, ()),
+                           dag_intent.get(switch, ()))
 
     def ops_for_switch(self, switch: str) -> list[int]:
         """All registered op ids addressed to ``switch``."""
@@ -227,20 +268,14 @@ class ControllerState:
 
     def view_of_switch(self, switch: str) -> dict[int, int]:
         """entry_id → op_id the controller believes is on ``switch``."""
-        return {
-            entry_id: op_id
-            for (sw, entry_id), op_id in self.routing_view.items()
-            if sw == switch
-        }
+        return dict(self._view_by_switch.get(switch, ()))
 
     def clear_view_of_switch(self, switch: str) -> None:
         """Drop the routing view of ``switch`` (post-wipe, Fig. A.5 ⑦)."""
-        for key in [k for k in self.routing_view if k[0] == switch]:
-            self.routing_view.delete(key)
+        for entry_id in list(self._view_by_switch.get(switch, ())):
+            self.routing_view.delete((switch, entry_id))
 
     def routing_view_snapshot(self) -> dict[str, frozenset[int]]:
         """switch → entry ids the controller believes installed."""
-        view: dict[str, set[int]] = {}
-        for (switch, entry_id), _op_id in self.routing_view.items():
-            view.setdefault(switch, set()).add(entry_id)
-        return {sw: frozenset(ids) for sw, ids in view.items()}
+        return {switch: frozenset(view)
+                for switch, view in self._view_by_switch.items() if view}

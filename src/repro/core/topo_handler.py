@@ -210,9 +210,11 @@ class TopoEventHandler(Component):
                         self.state.set_op_status(op_id, OpStatus.DONE)
                         self.state.record_removed(switch, op.entry_id)
                     self._notify_owner(op_id)
-        # Entries nobody claims are hidden garbage: delete them directly.
+        # Entries nobody claims are hidden garbage unless standing intent
+        # (a live DAG or a protected entry) wants them: delete directly.
+        intended = self.state.intended_entries(switch)
         for entry_id in present - claimed:
-            if not self._entry_is_intended(switch, entry_id):
+            if entry_id not in intended:
                 request = SwitchRequest(
                     MsgKind.DELETE, switch, xid=self.state.next_xid(),
                     sender=self.config.ofc_instance, entry_id=entry_id)
@@ -221,14 +223,6 @@ class TopoEventHandler(Component):
         self._reactivate_dags(touched_dags)
         self.state.set_health(switch, SwitchHealth.UP)
         self._notify_apps(AppEventKind.SWITCH_UP, switch)
-
-    def _entry_is_intended(self, switch: str, entry_id: int) -> bool:
-        """Whether an active DAG installs (switch, entry_id)."""
-        for dag_id in self.state.active_dags():
-            dag = self.state.get_dag(dag_id)
-            if dag is not None and (switch, entry_id) in dag.install_entries():
-                return True
-        return False
 
     # -- notifications ------------------------------------------------------------
     def _notify_owner(self, op_id: int) -> None:

@@ -168,10 +168,7 @@ def _setup_and_run(controller_cls: Type[ZenithController],
             entry = FlowEntry(system.alloc.entry_id(), path[-1], next_hop,
                               priority=-1)
             network[hop].flow_table[entry.entry_id] = entry
-            system.controller.state.routing_view.put(
-                (hop, entry.entry_id), -1)
-            system.controller.state.protected_entries.add(
-                (hop, entry.entry_id))
+            system.controller.state.protect_entry(hop, entry.entry_id)
     # Background load on the backup corridor.
     backup_links = Counter()
     for path in backup_paths.values():
@@ -183,9 +180,7 @@ def _setup_and_run(controller_cls: Type[ZenithController],
         bg_flow = Flow("bg", bg_a, bg_b, 7.0)
         entry = FlowEntry(system.alloc.entry_id(), bg_b, bg_b, priority=0)
         network[bg_a].flow_table[entry.entry_id] = entry
-        system.controller.state.routing_view.put((bg_a, entry.entry_id), -1)
-        system.controller.state.protected_entries.add(
-            (bg_a, entry.entry_id))
+        system.controller.state.protect_entry(bg_a, entry.entry_id)
         flows = flows + [bg_flow]
 
     monitor = TrafficMonitor(env, network, [f for f in flows

@@ -145,10 +145,7 @@ def _run_one(controller_cls: Type[ZenithController], seed: int):
             entry = FlowEntry(system.alloc.entry_id(), path[-1], next_hop,
                               priority=-1)
             network[hop].flow_table[entry.entry_id] = entry
-            system.controller.state.routing_view.put(
-                (hop, entry.entry_id), -1)
-            system.controller.state.protected_entries.add(
-                (hop, entry.entry_id))
+            system.controller.state.protect_entry(hop, entry.entry_id)
     backup_links = Counter()
     for path in backup_paths.values():
         if path:
@@ -158,8 +155,7 @@ def _run_one(controller_cls: Type[ZenithController], seed: int):
         (bg_a, bg_b), _n = backup_links.most_common(1)[0]
         entry = FlowEntry(system.alloc.entry_id(), bg_b, bg_b, priority=0)
         network[bg_a].flow_table[entry.entry_id] = entry
-        system.controller.state.routing_view.put((bg_a, entry.entry_id), -1)
-        system.controller.state.protected_entries.add((bg_a, entry.entry_id))
+        system.controller.state.protect_entry(bg_a, entry.entry_id)
         flows = flows + [Flow("bg", bg_a, bg_b, 7.0)]
 
     monitor = TrafficMonitor(env, network,

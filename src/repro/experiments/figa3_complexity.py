@@ -71,8 +71,7 @@ _METHOD_SETS = {
         "sw-recovery": ["_switch_up", "_start_clear", "_cleanup_done",
                         "_reset_switch_ops", "_reactivate_dags",
                         "_notify_owner"],
-        "dr": ["_start_directed", "_directed_reconcile",
-               "_entry_is_intended"],
+        "dr": ["_start_directed", "_directed_reconcile"],
     },
 }
 

@@ -275,8 +275,7 @@ class SimSwitch:
             self._reply(SwitchAck(MsgKind.CLEAR_TCAM, self.switch_id, request.xid))
         elif request.kind is MsgKind.READ_TABLE:
             # READ_TABLE replies after the Fig. 4(a)-calibrated latency.
-            entries = tuple(sorted(self.flow_table.values(),
-                                   key=lambda e: e.entry_id))
+            entries = self.table_snapshot()
             self.table_read_count += 1
             self.reconciliation_entries += len(entries)
             read_cost = table_read_time(len(entries))
@@ -308,4 +307,5 @@ class SimSwitch:
 
     def table_snapshot(self) -> tuple[FlowEntry, ...]:
         """Instantaneous table contents (ground truth, no read cost)."""
-        return tuple(sorted(self.flow_table.values(), key=lambda e: e.entry_id))
+        # flow_table is keyed by entry id: sort the keys, not the entries.
+        return tuple(map(self.flow_table.__getitem__, sorted(self.flow_table)))

@@ -18,7 +18,6 @@ processing (and hence DAG installation) queues behind it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..sim import AckQueue, Environment, Event, FifoQueue
@@ -26,14 +25,24 @@ from ..sim import AckQueue, Environment, Event, FifoQueue
 __all__ = ["Nib", "NibTable", "NibWrite", "Lock"]
 
 
-@dataclass(frozen=True)
 class NibWrite:
-    """A change notification delivered to table watchers."""
+    """A change notification delivered to table watchers.
 
-    table: str
-    key: Any
-    old: Any
-    new: Any
+    One is built per write to a watched table, so it is a bare
+    ``__slots__`` record; watchers treat it as read-only.
+    """
+
+    __slots__ = ("table", "key", "old", "new")
+
+    def __init__(self, table: str, key: Any, old: Any, new: Any):
+        self.table = table
+        self.key = key
+        self.old = old
+        self.new = new
+
+    def __repr__(self) -> str:
+        return (f"NibWrite(table={self.table!r}, key={self.key!r}, "
+                f"old={self.old!r}, new={self.new!r})")
 
 
 class NibTable:
@@ -43,8 +52,9 @@ class NibTable:
         self.nib = nib
         self.name = name
         self._data: dict[Any, Any] = {}
-        self._watchers: list[Callable[[NibWrite], None]] = []
-        self.write_count = 0
+        # A tuple, replaced on watch/unwatch: a notification iterates the
+        # watchers registered when it started, without copying them.
+        self._watchers: tuple[Callable[[NibWrite], None], ...] = ()
 
     # -- dict-like access ----------------------------------------------------
     def __contains__(self, key: Any) -> bool:
@@ -82,39 +92,49 @@ class NibTable:
     # -- mutation -------------------------------------------------------------
     def put(self, key: Any, value: Any) -> None:
         """Write a value and notify watchers."""
+        watchers = self._watchers
+        if not watchers:
+            self._data[key] = value
+            return
         old = self._data.get(key)
         self._data[key] = value
-        self.write_count += 1
-        self._notify(NibWrite(self.name, key, old, value))
+        write = NibWrite(self.name, key, old, value)
+        for watcher in watchers:
+            watcher(write)
 
     def delete(self, key: Any) -> None:
         """Remove a key if present and notify watchers."""
+        watchers = self._watchers
+        if not watchers:
+            self._data.pop(key, None)
+            return
         if key not in self._data:
             return
-        old = self._data.pop(key)
-        self.write_count += 1
-        self._notify(NibWrite(self.name, key, old, None))
+        write = NibWrite(self.name, key, self._data.pop(key), None)
+        for watcher in watchers:
+            watcher(write)
 
     def clear(self) -> None:
-        """Remove everything (one notification per key)."""
+        """Remove everything (one notification per key, if watched)."""
+        if not self._watchers:
+            self._data.clear()
+            return
         for key in list(self._data):
             self.delete(key)
 
     # -- watching ----------------------------------------------------------------
     def watch(self, callback: Callable[[NibWrite], None]) -> None:
         """Invoke ``callback`` synchronously on every write."""
-        self._watchers.append(callback)
+        self._watchers += (callback,)
 
     def unwatch(self, callback: Callable[[NibWrite], None]) -> None:
         """Remove a previously registered watcher."""
+        watchers = list(self._watchers)
         try:
-            self._watchers.remove(callback)
+            watchers.remove(callback)
         except ValueError:
-            pass
-
-    def _notify(self, write: NibWrite) -> None:
-        for watcher in list(self._watchers):
-            watcher(write)
+            return
+        self._watchers = tuple(watchers)
 
 
 class Lock:
@@ -220,8 +240,10 @@ class Nib:
             cost = self.bulk_update_cost_per_entry * len(writes)
             if cost > 0:
                 yield self.env.timeout(cost)
-            for table_name, key, value in writes:
-                table = self.table(table_name)
+            table_name = table = None
+            for name, key, value in writes:
+                if name != table_name:
+                    table_name, table = name, self.table(name)
                 if value is None:
                     table.delete(key)
                 else:

@@ -46,8 +46,7 @@ def preload_background_state(controller: ZenithController,
                                   next_hop, 0)
                 switch.flow_table[entry.entry_id] = entry
                 switch.first_install.setdefault(entry.entry_id, 0.0)
-                state.routing_view.put((switch_id, entry.entry_id), -1)
-                state.protected_entries.add((switch_id, entry.entry_id))
+                state.protect_entry(switch_id, entry.entry_id)
         return []
     dags = []
     num_sequencers = max(1, controller.config.num_sequencers)

@@ -1,11 +1,20 @@
 """Tests for the PR baseline: it works, but only thanks to reconciliation."""
 
+import sys
+
 import pytest
 
-from repro.baselines import NoRecController, PrController, PrUpController
-from repro.core import ControllerConfig, OpStatus, SwitchHealth
-from repro.net import FailureMode, Network, linear, ring
+from repro.baselines import (NoRecController, OdlController, PrController,
+                             PrUpController)
+from repro.baselines import pr as pr_module
+from repro.core import (ControllerConfig, DagStatus, OpStatus, OpType,
+                        SwitchHealth)
+from repro.core.events import SnapshotEvent
+from repro.net import FailureMode, FlowEntry, Network, linear, ring
+from repro.net.messages import MsgKind, SwitchRequest
+from repro.nib import NibTable
 from repro.sim import Environment
+from repro.workloads.background import preload_background_state
 from repro.workloads.dags import IdAllocator, path_dag
 
 
@@ -165,3 +174,232 @@ def test_pr_reconciler_cycle_duration_scales_with_entries():
     small = cycle_time(50)
     large = cycle_time(500)
     assert large > 2 * small
+
+
+# -- reconciliation against per-switch indexes ------------------------------------
+
+def reference_fix_switch(state, config, event, _dag_intent=None):
+    """``fix_switch_against_snapshot`` before the per-switch indexes.
+
+    The reference the indexed version is compared against: the whole
+    intent and the whole flat ``routing_view`` filtered by switch.
+    """
+    switch = event.switch
+    present = {entry.entry_id for entry in event.entries}
+    intended = set(state.protected_entries())
+    for dag_id, status in state.dag_status.items():
+        if status in (DagStatus.STALE, DagStatus.REMOVED):
+            continue
+        dag = state.dag_table.get(dag_id)
+        if dag is not None:
+            intended |= dag.install_entries()
+    intended_here = {entry_id for (sw, entry_id) in intended if sw == switch}
+    believed_before = set({
+        entry_id: op_id
+        for (sw, entry_id), op_id in state.routing_view.items()
+        if sw == switch})
+    fixes = 0
+    touched = set()
+    for op_id in state.ops_for_switch(switch):
+        op = state.get_op(op_id)
+        if op.op_type is not OpType.INSTALL or op.entry is None:
+            continue
+        entry_id = op.entry.entry_id
+        status = state.status_of(op_id)
+        if (entry_id in intended_here and entry_id not in present
+                and status in (OpStatus.DONE, OpStatus.IN_FLIGHT,
+                               OpStatus.FAILED)):
+            state.record_removed(switch, entry_id)
+            dag_id = state.reset_op(op_id)
+            if dag_id is not None:
+                touched.add(dag_id)
+            fixes += 1
+    for dag_id in sorted(touched):
+        state.reactivate_dag(dag_id)
+    aliens = present - intended_here
+    for entry_id in aliens:
+        state.to_switch_queue(switch).put(
+            SwitchRequest(MsgKind.DELETE, switch, xid=state.next_xid(),
+                          sender=config.ofc_instance, entry_id=entry_id))
+        state.record_removed(switch, entry_id)
+        fixes += 1
+    for entry_id in present - aliens - believed_before:
+        state.record_installed(switch, entry_id, -1)
+    for entry_id in believed_before - present:
+        state.record_removed(switch, entry_id)
+    return fixes
+
+
+#: Alien entry ids whose set iteration order is not their sorted order.
+ALIENS = (10_000_019, 77, 4_099, 10_000_003, 65_536, 31)
+
+
+def scramble(network, state, switch_id, dag):
+    """Leave ``switch_id`` with missing, alien, hidden and stale state."""
+    table = network[switch_id].flow_table
+    mine = sorted(entry_id for sw, entry_id in dag.install_entries()
+                  if sw == switch_id)
+    protected = sorted(entry_id for sw, entry_id in state.protected_entries()
+                       if sw == switch_id)
+    del table[mine[0]]                       # intended, believed, missing
+    for entry_id in ALIENS:                  # alien: nobody wants them
+        table[entry_id] = FlowEntry(entry_id, "x", switch_id, 0)
+    state.routing_view.put((switch_id, ALIENS[1]), -1)    # … one believed
+    state.routing_view.delete((switch_id, protected[0]))  # hidden, wanted
+    del table[protected[1]]                  # protected, lost by the switch
+    state.routing_view.put((switch_id, 555_555), -1)      # believed, absent
+
+
+def run_scrambled(controller_cls):
+    """Build, scramble, reconcile; return everything observable."""
+    up_reconciles = controller_cls is PrUpController
+    config = ControllerConfig(
+        reconciliation_period=1000.0 if up_reconciles else 10.0)
+    env, network, controller = make(controller_cls, ring(5), config)
+    alloc = IdAllocator()
+    dags = []
+    for path in (["s0", "s1", "s2"], ["s2", "s3", "s4"]):
+        dags.append(path_dag(alloc, path))
+        controller.submit_dag(dags[-1])
+        env.run(until=controller.wait_for_dag(dags[-1].dag_id))
+    preload_background_state(controller, 4, alloc, register_ops=False)
+    deletes = []
+    for switch in network:
+        def logged(request, send=switch.send):
+            if request.kind is MsgKind.DELETE:
+                deletes.append((request.switch, request.xid,
+                                request.entry_id))
+            send(request)
+        switch.send = logged
+
+    if up_reconciles:
+        for switch_id in ("s1", "s3"):
+            network.fail_switch(switch_id, FailureMode.PARTIAL)
+        env.run(until=env.now + 2)
+    scramble(network, controller.state, "s1", dags[0])
+    scramble(network, controller.state, "s3", dags[1])
+    if up_reconciles:
+        network.recover_switch("s3")
+        network.recover_switch("s1")
+    env.run(until=env.now + 25)
+
+    reconciler = controller.reconciler
+    return {
+        "fixes_applied": reconciler.fixes_applied,
+        "cycle_log": reconciler.cycle_log,
+        "flow_tables": {s.switch_id: sorted(s.flow_table) for s in network},
+        "routing_view": list(controller.state.routing_view.items()),
+        "op_status": list(controller.state.op_status.items()),
+        "deletes": deletes,
+        "now": env.now,
+    }
+
+
+@pytest.mark.parametrize(
+    "controller_cls", [PrController, PrUpController, OdlController])
+def test_indexed_reconciliation_equals_reference(controller_cls, monkeypatch):
+    """Same fixes, cycles, tables, view and DELETE xid order as before."""
+    indexed = run_scrambled(controller_cls)
+    monkeypatch.setattr(pr_module, "fix_switch_against_snapshot",
+                        reference_fix_switch)
+    reference = run_scrambled(controller_cls)
+    assert indexed == reference
+    # The scenario really exercised every kind of fix.
+    deleted = {entry_id for _sw, _xid, entry_id in indexed["deletes"]}
+    assert deleted == set(ALIENS)
+    assert len(indexed["deletes"]) == 2 * len(ALIENS)
+    for switch_id in ("s1", "s3"):
+        view = {e for (sw, e), _ in indexed["routing_view"] if sw == switch_id}
+        assert view == set(indexed["flow_tables"][switch_id])
+    if controller_cls is not PrUpController:
+        assert indexed["fixes_applied"] >= 2 * (len(ALIENS) + 1)
+        assert len(indexed["cycle_log"]) == 2
+
+
+class CountingTable(NibTable):
+    """A NibTable that counts whole-table reads."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def keys(self):
+        self.scans += 1
+        return super().keys()
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+    def items(self):
+        self.scans += 1
+        return super().items()
+
+    def snapshot(self):
+        self.scans += 1
+        return super().snapshot()
+
+
+def test_reconcile_cycle_never_scans_the_routing_view():
+    config = ControllerConfig(reconciliation_period=1000.0)
+    env, network, controller = make(PrController, ring(5), config)
+    alloc = IdAllocator()
+    dag = path_dag(alloc, ["s0", "s1", "s2"])
+    controller.submit_dag(dag)
+    env.run(until=controller.wait_for_dag(dag.dag_id))
+    preload_background_state(controller, 6, alloc, register_ops=False)
+    scramble(network, controller.state, "s1", dag)
+    controller.state.routing_view.__class__ = CountingTable
+
+    env.process(controller.reconciler.reconcile_once())
+    env.run(until=env.now + 20)
+
+    assert controller.reconciler.cycles_completed == 1
+    assert controller.reconciler.fixes_applied > len(ALIENS)
+    assert controller.view_matches_dataplane()   # itself index-backed
+    assert controller.state.routing_view.scans == 0
+
+
+def lines_executed(function) -> int:
+    """Python line events while ``function`` runs: work, without a clock."""
+    count = 0
+
+    def tracer(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        function()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_fixing_one_switch_costs_the_same_whatever_the_network_size():
+    def work_for_s0(switches):
+        config = ControllerConfig(reconciliation_period=1000.0)
+        env, network, controller = make(PrController, linear(switches),
+                                        config)
+        preload_background_state(controller, 8, IdAllocator(),
+                                 register_ops=False)
+        state = controller.state
+        table = network["s0"].flow_table
+        table[ALIENS[0]] = FlowEntry(ALIENS[0], "x", "s0", 0)
+        del table[min(table)]
+        event = SnapshotEvent("s0", state.next_xid(),
+                              network["s0"].table_snapshot())
+        dag_intent = state.dag_intent_by_switch()
+        fixes = []
+        lines = lines_executed(lambda: fixes.append(
+            pr_module.fix_switch_against_snapshot(
+                state, controller.config, event, dag_intent)))
+        assert fixes == [1]
+        return lines
+
+    assert work_for_s0(4) == work_for_s0(8) == work_for_s0(16)

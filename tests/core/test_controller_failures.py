@@ -239,3 +239,32 @@ def test_directed_reconciliation_removes_hidden_garbage():
     env.run(until=env.now + 10)
     assert 777 not in network["s1"].flow_table
     assert controller.view_matches_dataplane()
+
+
+@pytest.mark.parametrize("register_ops", [True, False])
+def test_directed_reconciliation_keeps_standing_background_entries(
+        register_ops):
+    """ZENITH-DR must not delete intent it holds no OPs for.
+
+    Entries preloaded with ``register_ops=False`` are protected standing
+    intent: unclaimed by any OP, yet wanted.  A partial failure keeps
+    the TCAM, so recovery has to leave them exactly as they were.
+    """
+    from repro.workloads.background import preload_background_state
+
+    config = ControllerConfig(directed_reconciliation=True)
+    env, network, controller = make_controller(ring(6), config)
+    preload_background_state(controller, 5, IdAllocator(),
+                             register_ops=register_ops)
+    before = set(network["s1"].flow_table)
+    assert len(before) == 5
+
+    network.fail_switch("s1", FailureMode.PARTIAL)
+    env.run(until=env.now + 2)
+    network.recover_switch("s1")
+    env.run(until=env.now + 10)
+
+    assert controller.state.health_of("s1") is SwitchHealth.UP
+    assert set(network["s1"].flow_table) == before
+    assert [h for h in network["s1"].history if h[1] == "delete"] == []
+    assert controller.view_matches_dataplane()

@@ -1,6 +1,8 @@
 """Unit tests for ControllerState, config and the NIB façade."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core import (
     ControllerConfig,
@@ -81,15 +83,16 @@ def test_intended_entries_excludes_stale_dags():
     state.register_dag(dag1)
     state.register_dag(dag2)
     state.set_dag_status(1, DagStatus.STALE)
-    intended = state.intended_entries()
-    assert ("s0", 20) in intended
-    assert ("s0", 10) not in intended
+    assert state.intended_entries("s0") == {20}
+    assert state.dag_intent_by_switch() == {"s0": {20}}
 
 
 def test_intended_entries_includes_protected():
     env, state = make_state()
-    state.protected_entries.add(("sX", 99))
-    assert ("sX", 99) in state.intended_entries()
+    state.protect_entry("sX", 99)
+    assert state.intended_entries("sX") == {99}
+    assert state.view_of_switch("sX") == {99: -1}
+    assert state.protected_entries() == [("sX", 99)]
 
 
 def test_reactivate_dag_requires_done_and_owner():
@@ -150,3 +153,90 @@ def test_op_validation():
     assert clear.target_entry_id is None
     delete = Op(2, "s0", OpType.DELETE, entry_id=5)
     assert delete.target_entry_id == 5
+
+
+# -- secondary indexes equal a flat recomputation -----------------------------------
+
+_SWITCHES = st.sampled_from(["s0", "s1", "s2", "s10"])
+_ENTRIES = st.integers(1, 12)
+_OP_IDS = st.integers(-1, 40)
+_DAG_IDS = st.integers(1, 4)
+
+_ACTIONS = st.one_of(
+    st.tuples(st.just("record_installed"), _SWITCHES, _ENTRIES, _OP_IDS),
+    st.tuples(st.just("record_removed"), _SWITCHES, _ENTRIES),
+    st.tuples(st.just("clear_view_of_switch"), _SWITCHES),
+    st.tuples(st.just("raw_put"), _SWITCHES, _ENTRIES, _OP_IDS),
+    st.tuples(st.just("raw_delete"), _SWITCHES, _ENTRIES),
+    st.tuples(st.just("raw_clear")),
+    st.tuples(st.just("protect_entry"), _SWITCHES, _ENTRIES),
+    st.tuples(st.just("register_dag"), _DAG_IDS,
+              st.lists(st.tuples(_SWITCHES, _ENTRIES), max_size=4)),
+    st.tuples(st.just("set_dag_status"), _DAG_IDS,
+              st.sampled_from(list(DagStatus))),
+)
+
+
+def _flat_view(state):
+    """The pre-index accessors, recomputed from the flat table."""
+    by_switch: dict = {}
+    for (switch, entry_id), op_id in state.routing_view.items():
+        by_switch.setdefault(switch, {})[entry_id] = op_id
+    return by_switch
+
+
+def _flat_intent(state, protected):
+    intended = set(protected)
+    for dag_id, status in state.dag_status.items():
+        if status in (DagStatus.STALE, DagStatus.REMOVED):
+            continue
+        dag = state.dag_table.get(dag_id)
+        if dag is not None:
+            intended |= dag.install_entries()
+    return intended
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_ACTIONS, max_size=40))
+def test_indexed_accessors_equal_flat_recomputation(actions):
+    env, state = make_state()
+    protected: set = set()
+    op_ids = iter(range(1000, 10_000))
+    for name, *args in actions:
+        if name == "raw_put":
+            switch, entry_id, op_id = args
+            state.routing_view.put((switch, entry_id), op_id)
+        elif name == "raw_delete":
+            state.routing_view.delete(tuple(args))
+        elif name == "raw_clear":
+            state.routing_view.clear()
+        elif name == "register_dag":
+            dag_id, installs = args
+            state.register_dag(Dag(dag_id, [
+                install_op(next(op_ids), switch, entry_id)
+                for switch, entry_id in installs]))
+        else:
+            getattr(state, name)(*args)
+            if name == "protect_entry":
+                protected.add(tuple(args))
+
+        flat = _flat_view(state)
+        for switch in ("s0", "s1", "s2", "s10", "absent"):
+            mine = flat.get(switch, {})
+            view = state.view_of_switch(switch)
+            # Same mapping, in the flat table's order.
+            assert list(view.items()) == list(mine.items())
+        assert state.routing_view_snapshot() == {
+            switch: frozenset(view) for switch, view in flat.items()}
+        if name == "clear_view_of_switch":
+            assert args[0] not in flat
+
+        intended = _flat_intent(state, protected)
+        for switch in ("s0", "s1", "s2", "s10", "absent"):
+            assert state.intended_entries(switch) == {
+                entry_id for sw, entry_id in intended if sw == switch}
+        dag_intent = state.dag_intent_by_switch()
+        assert {(sw, entry_id) for sw, ids in dag_intent.items()
+                for entry_id in ids} == _flat_intent(state, ())
+        assert all(dag_intent.values())
+        assert state.protected_entries() == sorted(protected)

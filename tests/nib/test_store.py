@@ -159,3 +159,121 @@ def test_snapshot_is_independent_copy():
     snap = table.snapshot()
     table.put("a", 2)
     assert snap == {"a": 1}
+
+
+# -- unwatched fast path vs. watched path ---------------------------------------
+
+_SCRIPT = [("put", "a", 1), ("put", "b", 2), ("put", "a", 3), ("delete", "b"),
+           ("delete", "ghost"), ("put", "c", 4), ("clear",), ("put", "d", 5),
+           ("put", "e", 6), ("delete", "d")]
+
+
+def _apply(table, script):
+    for name, *args in script:
+        getattr(table, name)(*args)
+
+
+def _count_nib_writes(monkeypatch):
+    """How many NibWrite records the store builds from here on."""
+    from repro.nib import store
+
+    built = []
+
+    class CountedWrite(store.NibWrite):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(store, "NibWrite", CountedWrite)
+    return built
+
+
+def test_unwatched_and_watched_tables_end_with_identical_contents(monkeypatch):
+    built = _count_nib_writes(monkeypatch)
+    nib = Nib(Environment())
+    plain, watched = nib.table("plain"), nib.table("watched")
+    seen = []
+    watched.watch(seen.append)
+    for length in range(len(_SCRIPT) + 1):
+        plain.clear()
+        watched.clear()
+        _apply(plain, _SCRIPT[:length])
+        _apply(watched, _SCRIPT[:length])
+        assert list(plain.items()) == list(watched.items())
+    # Only the watched table ever paid for a notification record.
+    assert built and all(args[0] == "watched" for args in built)
+    assert len(seen) == len(built)
+
+
+def test_watcher_added_mid_run_sees_every_later_write():
+    table = Nib(Environment()).table("t")
+    _apply(table, _SCRIPT[:3])
+    seen = []
+    table.watch(lambda w: seen.append((w.key, w.old, w.new)))
+    _apply(table, _SCRIPT[3:])
+    assert seen == [
+        ("b", 2, None),                       # delete b ("ghost" is silent)
+        ("c", None, 4),
+        ("a", 3, None), ("c", 4, None),       # clear(): one per key
+        ("d", None, 5), ("e", None, 6), ("d", 5, None),
+    ]
+    assert table.snapshot() == {"e": 6}
+
+
+def test_clear_on_watched_table_notifies_per_key():
+    table = Nib(Environment()).table("t")
+    for key in range(5):
+        table.put(key, key * key)
+    seen = []
+    table.watch(lambda w: seen.append((w.table, w.key, w.old, w.new)))
+    table.clear()
+    assert seen == [("t", key, key * key, None) for key in range(5)]
+    assert len(table) == 0
+
+
+def test_unwatch_returns_table_to_fast_path(monkeypatch):
+    table = Nib(Environment()).table("t")
+    seen = []
+    table.watch(seen.append)
+    table.put("a", 1)
+    table.unwatch(seen.append)   # a different bound method object, same callback
+    built = _count_nib_writes(monkeypatch)
+    _apply(table, _SCRIPT)
+    assert built == [] and len(seen) == 1
+    assert table.snapshot() == {"e": 6}
+
+
+def test_watcher_may_unwatch_itself_during_notification():
+    table = Nib(Environment()).table("t")
+    seen = []
+
+    def once(write):
+        seen.append(("once", write.key))
+        table.unwatch(once)
+
+    table.watch(once)
+    table.watch(lambda w: seen.append(("always", w.key)))
+    table.put("a", 1)
+    table.put("b", 2)
+    assert seen == [("once", "a"), ("always", "a"), ("always", "b")]
+
+
+def test_bulk_update_spanning_tables_applies_in_order():
+    env = Environment()
+    nib = Nib(env)
+    seen = []
+    nib.table("y").watch(lambda w: seen.append((w.table, w.key, w.new)))
+    writes = (w for w in [("x", 1, "a"), ("x", 2, "b"), ("y", 1, "c"),
+                          ("x", 1, None), ("y", 2, "d"), ("y", 1, None)])
+
+    def proc():
+        yield from nib.bulk_update(writes, owner="r")
+
+    env.process(proc())
+    env.run()
+    assert nib.table("x").snapshot() == {2: "b"}
+    assert nib.table("y").snapshot() == {2: "d"}
+    assert seen == [("y", 1, "c"), ("y", 2, "d"), ("y", 1, None)]
+    assert env.now == pytest.approx(6 * nib.bulk_update_cost_per_entry)

@@ -92,7 +92,7 @@ def test_preload_background_lean_mode():
     for switch in network:
         assert len(switch.flow_table) == 7
     # No OP objects, but protected intent registered.
-    assert len(controller.state.protected_entries) == 21
+    assert len(controller.state.protected_entries()) == 21
     assert len(controller.state.op_table) == 0
     assert controller.view_matches_dataplane()
 
@@ -121,5 +121,6 @@ def test_lean_background_counts_as_reconciliation_intent():
     controller = ZenithController(env, network).start()
     alloc = IdAllocator()
     preload_background_state(controller, 3, alloc, register_ops=False)
-    intended = controller.state.intended_entries()
-    assert len(intended) == 9
+    for switch in network:
+        assert controller.state.intended_entries(switch.switch_id) \
+            == set(switch.flow_table)
