@@ -278,7 +278,16 @@ def subgraph(topo: Topology, n: int, seed: int = 0) -> Topology:
                 frontier.append(neighbor)
     if len(selected) < n:
         raise ValueError("source graph not connected enough")
-    sub = topo.graph.subgraph(selected).copy()
+    # Not ``graph.subgraph(selected).copy()``: that iterates a *set* of
+    # names, so node and adjacency order — and with them shortest-path
+    # tie-breaking — would follow PYTHONHASHSEED.  Nodes go in BFS
+    # order, edges in the parent graph's edge order.
+    members = set(selected)
+    sub = nx.Graph(**topo.graph.graph)
+    sub.add_nodes_from((node, topo.graph.nodes[node]) for node in selected)
+    sub.add_edges_from((a, b, data)
+                       for a, b, data in topo.graph.edges(data=True)
+                       if a in members and b in members)
     result = Topology(f"{topo.name}-sub{n}", sub)
     if not result.is_connected():
         # BFS ball is always connected; guard anyway.

@@ -1,5 +1,10 @@
 """Unit tests for topology generators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.net import b4, fat_tree, kdl, linear, ring, subgraph
@@ -69,6 +74,42 @@ def test_subgraph_connected_and_sized():
         sub = subgraph(full, n, seed=5)
         assert len(sub) == n
         assert sub.is_connected()
+
+
+_ADJACENCY_SNIPPET = """
+from repro.net import kdl, subgraph
+sub = subgraph(kdl(300, 0), 60, 0)
+print([(node, list(sub.graph.adj[node])) for node in sub.graph.nodes])
+"""
+
+
+def test_subgraph_adjacency_order_ignores_the_hash_seed():
+    """Node and adjacency insertion order decide ``nx.shortest_path``
+    tie-breaking, so they must not follow the interpreter's string hash
+    (regression: fig13 percentiles moved with PYTHONHASHSEED)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    orders = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+        proc = subprocess.run([sys.executable, "-c", _ADJACENCY_SNIPPET],
+                              capture_output=True, text=True, env=env,
+                              check=True)
+        orders.add(proc.stdout)
+    assert len(orders) == 1
+
+
+def test_subgraph_keeps_nodes_in_bfs_order_and_link_attributes():
+    full = kdl(40, seed=2)
+    full.graph.edges["s0", "s1"]["capacity"] = 40.0
+    sub = subgraph(full, 40, seed=1)
+    assert sub.links == full.links
+    assert sub.capacity("s0", "s1") == 40.0
+    # A copy: editing the subgraph leaves the source alone.
+    sub.graph.edges["s0", "s1"]["capacity"] = 1.0
+    assert full.capacity("s0", "s1") == 40.0
+    nodes = list(sub.graph.nodes)
+    for index, node in enumerate(nodes[1:], start=1):
+        assert any(peer in nodes[:index] for peer in sub.graph.adj[node])
 
 
 def test_subgraph_too_large_rejected():
