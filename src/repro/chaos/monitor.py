@@ -3,10 +3,11 @@
 The experiments so far checked consistency only *at the end* of a run;
 a reconciliation-based controller that is wrong for 29 of every 30
 seconds can still pass such a check.  :class:`ConsistencyMonitor` polls
-the ground truth (:meth:`SimSwitch.table_snapshot` via
+the ground truth (the ``flow_table`` keys of every switch, via
 ``Network.routing_state()`` — cost-free, consumes no sim randomness)
 continuously and records the **first sim-time** each invariant is
-violated.
+violated.  State-dependent conditions are re-evaluated only when what
+they read changed (a ``ChangeStamp``); the others run at every poll.
 
 Invariants (all restricted to switches that are actually healthy —
 the paper's ◇□ conditions only bind outside failure windows):
@@ -59,6 +60,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.types import DagStatus, OpStatus
+from ..metrics.convergence import ChangeStamp
 
 __all__ = ["ConsistencyMonitor", "MonitorConfig", "Violation"]
 
@@ -136,6 +138,11 @@ class ConsistencyMonitor:
         #: condition keys already declared (no re-reporting while the
         #: same condition persists).
         self._declared: set[tuple] = set()
+        state = controller.state
+        #: Moves when anything :meth:`_state_conditions` reads is written.
+        self._stamp = ChangeStamp(
+            network, state.routing_view, state.dag_status, state.dag_table,
+            state.op_status, state.op_table, state.op_status_at)
         self._proc = env.process(self._run(), name="chaos-monitor")
 
     # -- results ----------------------------------------------------------------
@@ -182,7 +189,41 @@ class ConsistencyMonitor:
 
     # -- invariant evaluation -----------------------------------------------------
     def _current_conditions(self) -> dict[tuple, dict]:
-        """All currently-failing conditions, keyed for persistence."""
+        """All currently-failing conditions, keyed for persistence.
+
+        :meth:`_state_conditions` runs when the stamped state changed; what
+        reads the clock, queue depths or packet traces runs at every poll.
+        """
+        standing, pending_ops, healthy, view_matches = \
+            self._stamp.cached(self._state_conditions)
+        conditions = dict(standing)
+
+        # orphaned-op: pending OPs against healthy switches, too old.
+        now = self.env.now
+        orphan_after = self.config.orphan_timeout
+        for op_id, switch, status, since in pending_ops:
+            age = 0.0 if since is None else now - since
+            if age > orphan_after:
+                key = ("orphaned-op", f"op {op_id} -> {switch}")
+                conditions[key] = {"op": op_id, "switch": switch,
+                                   "status": status.value,
+                                   "age": round(age, 6)}
+
+        # quiescence-divergence: nothing left in flight, yet the view
+        # still disagrees with the dataplane.
+        if not view_matches \
+                and self._quiescent(self.controller.state, healthy):
+            conditions[("quiescence-divergence", "view != dataplane")] = {}
+
+        if self.update_tracker is not None:
+            self._update_conditions(conditions)
+        return conditions
+
+    def _state_conditions(self) -> tuple:
+        """What flow tables, health bits and the stamped NIB tables decide:
+        certified-not-installed and hidden-entry conditions, pending OPs on
+        healthy switches as ``(op_id, switch, status, op_status_at)``, the
+        healthy set and the ``view_matches_dataplane`` verdict."""
         conditions: dict[tuple, dict] = {}
         state = self.controller.state
         actual = self.network.routing_state()
@@ -225,31 +266,17 @@ class ConsistencyMonitor:
                 key = ("hidden-entry", f"{switch}/entry {entry_id}")
                 conditions[key] = {"switch": switch, "entry": entry_id}
 
-        # orphaned-op: pending OPs against healthy switches, too old.
-        now = self.env.now
-        orphan_after = self.config.orphan_timeout
+        pending_ops = []
         for op_id, status in state.op_status.items():
             if status not in (OpStatus.SCHEDULED, OpStatus.IN_FLIGHT):
                 continue
             op = state.op_table.get(op_id)
             if op is None or op.switch not in healthy:
                 continue
-            age = now - state.op_status_at.get(op_id, now)
-            if age > orphan_after:
-                key = ("orphaned-op", f"op {op_id} -> {op.switch}")
-                conditions[key] = {"op": op_id, "switch": op.switch,
-                                   "status": status.value,
-                                   "age": round(age, 6)}
-
-        # quiescence-divergence: nothing left in flight, yet the view
-        # still disagrees with the dataplane.
-        if self._quiescent(state, healthy) \
-                and not self.controller.view_matches_dataplane():
-            conditions[("quiescence-divergence", "view != dataplane")] = {}
-
-        if self.update_tracker is not None:
-            self._update_conditions(conditions)
-        return conditions
+            pending_ops.append((op_id, op.switch, status,
+                                state.op_status_at.get(op_id)))
+        return (conditions, pending_ops, healthy,
+                self.controller.view_matches_dataplane())
 
     def _update_conditions(self, conditions: dict) -> None:
         """Data-plane update invariants (loop/waypoint/per-packet).

@@ -17,28 +17,9 @@ exposes:
   (params, seed): simulated time is fine, wall-clock time is not.
 """
 
-from . import (
-    ablation,
-    chaos_nemesis,
-    checker_scale,
-    component_ablation,
-    fig03_reconciliation_period,
-    fig04_reconciliation_cost,
-    fig10_trace_replay,
-    fig11_topology_scaling,
-    fig12_switch_failures,
-    fig13_component_failures,
-    fig14_te_throughput,
-    fig15_failover,
-    fig16_drain,
-    figa2_odl,
-    figa3_complexity,
-    figa6_trace_lengths,
-    sec63_app_verification,
-    table4_model_checking,
-    tablea1_spec_size,
-    update_chaos,
-)
+import importlib
+from collections.abc import Mapping
+
 from .common import (
     ExperimentTable,
     build_system,
@@ -48,34 +29,60 @@ from .common import (
     wait_for_stability,
 )
 
-EXPERIMENTS = {
-    "fig3": fig03_reconciliation_period.run,
-    "fig4": fig04_reconciliation_cost.run,
-    "fig10": fig10_trace_replay.run,
-    "fig11": fig11_topology_scaling.run,
-    "fig12": fig12_switch_failures.run,
-    "fig13": fig13_component_failures.run,
-    "fig14": fig14_te_throughput.run,
-    "fig15": fig15_failover.run,
-    "fig16": fig16_drain.run,
-    "table4": table4_model_checking.run,
-    "sec6.3": sec63_app_verification.run,
-    "figA2": figa2_odl.run,
-    "figA3": figa3_complexity.run,
-    "figA6": figa6_trace_lengths.run,
-    "tableA1": tablea1_spec_size.run,
-    "ablation": ablation.run,
-    "chaos": chaos_nemesis.run,
-    "checkerScale": checker_scale.run,
-    "componentAblation": component_ablation.run,
-    "update": update_chaos.run,
+#: Experiment id → module name, imported on first use: most importers
+#: (benchmark, chaos driver, CLI) only want :mod:`.common`.
+_MODULES = {
+    "fig3": "fig03_reconciliation_period",
+    "fig4": "fig04_reconciliation_cost",
+    "fig10": "fig10_trace_replay",
+    "fig11": "fig11_topology_scaling",
+    "fig12": "fig12_switch_failures",
+    "fig13": "fig13_component_failures",
+    "fig14": "fig14_te_throughput",
+    "fig15": "fig15_failover",
+    "fig16": "fig16_drain",
+    "table4": "table4_model_checking",
+    "sec6.3": "sec63_app_verification",
+    "figA2": "figa2_odl",
+    "figA3": "figa3_complexity",
+    "figA6": "figa6_trace_lengths",
+    "tableA1": "tablea1_spec_size",
+    "ablation": "ablation",
+    "chaos": "chaos_nemesis",
+    "checkerScale": "checker_scale",
+    "componentAblation": "component_ablation",
+    "update": "update_chaos",
 }
 
-def experiment_module(exp_id: str):
-    """The module backing a registered experiment id."""
-    import sys
 
-    return sys.modules[EXPERIMENTS[exp_id].__module__]
+def experiment_module(exp_id: str):
+    """The module backing a registered experiment id (imported here)."""
+    return importlib.import_module(f".{_MODULES[exp_id]}", __name__)
+
+
+class _Registry(Mapping):
+    """Experiment id → ``run`` function, importing the module on lookup."""
+
+    def __getitem__(self, exp_id: str):
+        return experiment_module(exp_id).run
+
+    def __contains__(self, exp_id) -> bool:
+        return exp_id in _MODULES
+
+    def __iter__(self):
+        return iter(_MODULES)
+
+    def __len__(self) -> int:
+        return len(_MODULES)
+
+
+EXPERIMENTS = _Registry()
+
+
+def __getattr__(name: str):
+    if name in _MODULES.values():
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def describe(exp_id: str) -> str:

@@ -22,8 +22,37 @@ from ..core.types import Dag, DagStatus, OpType
 from ..net.dataplane import Network
 from ..sim import Environment
 
-__all__ = ["check_dag_order", "dag_installed_in_dataplane",
+__all__ = ["ChangeStamp", "check_dag_order", "dag_installed_in_dataplane",
             "measure_convergence", "ConvergenceResult", "wait_until"]
+
+
+class ChangeStamp:
+    """Lets a poller re-evaluate a predicate only when its inputs changed.
+
+    Inputs: ``network``'s flow tables and health bits
+    (:meth:`Network.version`), the NIB ``tables`` (one counting watcher,
+    registered here, so a run with no poller pays nothing) and one
+    object per call, compared by identity.  The stamp decides *whether*
+    to evaluate, never what (DESIGN.md "Change stamps").
+    """
+
+    def __init__(self, network: Network, *tables):
+        self.inputs = (network, *tables)
+        self._nib_writes = 0
+        #: (write count, key, value) of the last evaluation.
+        self._seen: tuple = (None, None, None)
+        for table in tables:
+            table.watch(self._count)
+
+    def _count(self, _write) -> None:
+        self._nib_writes += 1
+
+    def cached(self, evaluate, *args, key=None):
+        """``evaluate(*args)``, re-run only if an input or ``key`` changed."""
+        count = self._nib_writes + self.inputs[0].version()
+        if self._seen[0] != count or self._seen[1] is not key:
+            self._seen = (count, key, evaluate(*args))
+        return self._seen[2]
 
 
 def check_dag_order(network: Network, dag: Dag) -> list[tuple[int, int]]:

@@ -132,6 +132,10 @@ class Network:
         return [s for s, sw in self.switches.items() if sw.is_healthy]
 
     # -- ground truth ------------------------------------------------------------
+    def version(self) -> int:
+        """Flow-table writes plus health transitions so far, network-wide."""
+        return sum(sw.flow_table.version for sw in self.switches.values())
+
     def trace(self, src: str, dst: str, max_hops: int = 64) -> PathResult:
         """Trace a packet for ``dst`` injected at ``src``."""
         detailed = self.trace_detailed(src, dst, max_hops=max_hops)

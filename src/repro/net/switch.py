@@ -32,7 +32,7 @@ from .messages import (
     TableSnapshot,
 )
 
-__all__ = ["SimSwitch", "FailureMode", "table_read_time"]
+__all__ = ["SimSwitch", "FailureMode", "FlowTable", "table_read_time"]
 
 #: Fig. 4(a) calibration constants (seconds).
 READ_BASE_S = 1.0e-3
@@ -52,6 +52,30 @@ class FailureMode(enum.Enum):
     COMPLETE = "complete"
     #: TCAM preserved; buffered requests lost (e.g. ASIC/CPU hiccup).
     PARTIAL = "partial"
+
+
+class FlowTable(dict):
+    """``entry_id → FlowEntry``; every in-place write bumps ``version``.
+
+    Direct ``switch.flow_table[k] = v`` writes (workloads, tests) count
+    like the switch's own; health transitions bump it too, so pollers
+    compare :meth:`Network.version` instead of re-reading every table.
+    """
+
+    version = 0
+
+    def _counted(mutate):
+        def mutator(self, *args, **kwargs):
+            self.version += 1
+            return mutate(self, *args, **kwargs)
+        mutator.__name__ = mutate.__name__
+        return mutator
+
+    __init__, __setitem__, __delitem__, __ior__, pop, popitem, clear, \
+        update, setdefault = map(_counted, (
+            dict.__init__, dict.__setitem__, dict.__delitem__, dict.__ior__,
+            dict.pop, dict.popitem, dict.clear, dict.update, dict.setdefault))
+    del _counted
 
 
 class SimSwitch:
@@ -78,7 +102,7 @@ class SimSwitch:
         self.op_process_time = op_process_time
         self.detection_delay = detection_delay
 
-        self.flow_table: dict[int, FlowEntry] = {}
+        self.flow_table: FlowTable = FlowTable()
         self.health = Store(env, SwitchStatus.UP)
         self.master: Optional[str] = None
         self.in_queue = FifoQueue(env, f"{switch_id}.in")
@@ -141,6 +165,7 @@ class SimSwitch:
         self.in_queue.clear()
         self.out_queue.clear()
         self.health.set(SwitchStatus.DOWN)
+        self.flow_table.version += 1
         self._process.interrupt(("failure", mode))
         self._announce(SwitchStatus.DOWN, state_lost=state_lost)
 
@@ -149,6 +174,7 @@ class SimSwitch:
         if self.is_healthy:
             return
         self.health.set(SwitchStatus.UP)
+        self.flow_table.version += 1
         self._announce(SwitchStatus.UP)
 
     def _announce(self, status: SwitchStatus, state_lost: bool = False) -> None:

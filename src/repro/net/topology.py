@@ -278,10 +278,8 @@ def subgraph(topo: Topology, n: int, seed: int = 0) -> Topology:
                 frontier.append(neighbor)
     if len(selected) < n:
         raise ValueError("source graph not connected enough")
-    # Not ``graph.subgraph(selected).copy()``: that iterates a *set* of
-    # names, so node and adjacency order — and with them shortest-path
-    # tie-breaking — would follow PYTHONHASHSEED.  Nodes go in BFS
-    # order, edges in the parent graph's edge order.
+    # Nodes in BFS order, edges in the parent's edge order: ``graph.subgraph``
+    # iterates a set, so shortest-path tie-breaks followed PYTHONHASHSEED.
     members = set(selected)
     sub = nx.Graph(**topo.graph.graph)
     sub.add_nodes_from((node, topo.graph.nodes[node]) for node in selected)

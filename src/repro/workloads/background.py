@@ -41,12 +41,15 @@ def preload_background_state(controller: ZenithController,
             switch = network[switch_id]
             neighbors = network.topology.neighbors(switch_id)
             next_hop = neighbors[0] if neighbors else switch_id
+            table = {}
             for i in range(entries_per_switch):
                 entry = FlowEntry(alloc.entry_id(), f"bg-{switch_id}-{i}",
                                   next_hop, 0)
-                switch.flow_table[entry.entry_id] = entry
+                table[entry.entry_id] = entry
                 switch.first_install.setdefault(entry.entry_id, 0.0)
                 state.protect_entry(switch_id, entry.entry_id)
+            # One counted write per switch, not one per entry.
+            switch.flow_table.update(table)
         return []
     dags = []
     num_sequencers = max(1, controller.config.num_sequencers)
