@@ -88,9 +88,10 @@ class CheckProfiler:
     to the exploration wall time it is embedded in.
     """
 
-    __slots__ = ("phase_s", "phase_calls", "labels", "busy_s")
+    __slots__ = ("phase_s", "phase_calls", "labels", "busy_s", "_lap_t")
 
     def __init__(self):
+        self._lap_t = 0.0
         self.phase_s: dict[str, float] = {p: 0.0 for p in PHASES}
         self.phase_calls: dict[str, int] = {p: 0 for p in PHASES}
         #: (process, label) → [expansions, successors, wall_s]
@@ -118,6 +119,28 @@ class CheckProfiler:
         entry[2] += seconds
         self.phase_s["successor_gen"] += seconds
         self.phase_calls["successor_gen"] += 1
+
+    # -- chained clock -------------------------------------------------------
+    # One timestamp closes a region and opens the next, so code that runs
+    # between two instrumented regions (loop control, the profiler's own
+    # bookkeeping) is charged to a phase instead of leaking out of the
+    # breakdown.  The search driver and its engine share this clock.
+    def mark(self) -> None:
+        """Open a region now (drops whatever ran since the last lap)."""
+        self._lap_t = time.perf_counter()
+
+    def lap(self, phase: str, calls: int = 1) -> None:
+        """Charge the time since the last mark/lap to ``phase``."""
+        now = time.perf_counter()
+        self.phase_s[phase] += now - self._lap_t
+        self.phase_calls[phase] += calls
+        self._lap_t = now
+
+    def lap_label(self, process: str, label: str, successors: int) -> None:
+        """:meth:`add_label` for the region since the last mark/lap."""
+        now = time.perf_counter()
+        self.add_label(process, label, now - self._lap_t, successors)
+        self._lap_t = now
 
     # -- cross-process aggregation ------------------------------------------
     def snapshot(self) -> dict:

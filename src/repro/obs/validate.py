@@ -116,7 +116,7 @@ def _complete_op_spans(async_groups: dict) -> list[tuple]:
 
 
 _PROF_WALL_KEYS = ("total", "exploration", "busy")
-_PROF_ENGINES = {"serial", "serial-fp", "parallel"}
+_PROF_ENGINES = {"serial", "serial-fp", "compiled", "parallel"}
 
 
 def validate_prof_artifact(doc: Any,

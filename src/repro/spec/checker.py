@@ -28,6 +28,7 @@ described and are individually switchable for the Table 4 ablation:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..obs.prof import CheckerTraceBuilder, CheckProfiler, Progress
-from .fingerprint import fingerprint_state
+from .fingerprint import IncrementalFingerprinter, fingerprint_state
 from .lang import Blocked, Ctx, NeedChoice, Spec, State
 
 __all__ = ["CheckResult", "Violation", "ModelChecker", "check",
@@ -228,9 +229,10 @@ class ModelChecker:
                 "exact collision detection")
         self.fingerprint_mode = fingerprint_mode
         #: Compiled-step execution (repro.spec.compile): per-label
-        #: closures over flat interned state vectors.  Serially it runs
-        #: :func:`repro.spec.compile.run_compiled`; with workers each
-        #: worker swaps its ``_successors`` for a CompiledStepper.
+        #: closures over flat interned state vectors.  Serially
+        #: :meth:`run` drives :class:`repro.spec.compile.CompiledEngine`;
+        #: with workers each worker swaps its ``_successors`` for a
+        #: CompiledStepper.
         self.compiled = bool(compiled)
         #: ``"process.label"`` names forced back to per-visit
         #: interpretation inside the compiled engine (fallback lever).
@@ -322,8 +324,18 @@ class ModelChecker:
     _compiled_stepper = None
 
     def _successors(self, state: State) -> list[tuple[str, State]]:
-        """Successors under the (optionally ample-set reduced) relation."""
-        if self.compiled and self.profiler is None:
+        """Successors under the (optionally ample-set reduced) relation.
+
+        With a profiler attached the same body runs on the profiler's
+        chained clock: the ample-eligibility scan is charged to
+        ``por_ample`` and each ``_expand_step`` (through
+        :meth:`_expand_profiled`) to its (process, label) pair.
+        """
+        prof = self.profiler
+        if prof is not None:
+            prof.mark()
+            expand = self._expand_profiled
+        elif self.compiled:
             # Parallel workers call this entry point directly; under
             # --compiled they step through the per-label closure tables
             # (state-boundary adapter, byte-identical successor lists).
@@ -337,8 +349,8 @@ class ModelChecker:
                                 if self.use_por_deps else None),
                     uncompiled_labels=self.uncompiled_labels)
             return stepper.successors(state)
-        if self.profiler is not None:
-            return self._successors_profiled(state)
+        else:
+            expand = self._expand_step
         if self.use_por:
             # Ample set: a process whose current step is declared local
             # commutes with every other step; expanding it alone is a
@@ -356,85 +368,26 @@ class ModelChecker:
                 else:
                     is_ample = (process.name, pc) in ample
                 if is_ample:
-                    expanded = self._expand_step(state, proc_index)
+                    if prof is not None:
+                        prof.lap("por_ample")
+                    expanded = expand(state, proc_index)
                     if expanded:
                         return expanded
+            if prof is not None:
+                prof.lap("por_ample")
         result = []
         for proc_index in range(len(self.spec.processes)):
-            result.extend(self._expand_step(state, proc_index))
+            result.extend(expand(state, proc_index))
         return result
 
-    def _successors_profiled(self, state: State) -> list[tuple[str, State]]:
-        """:meth:`_successors` with phase/label timing.
-
-        Identical exploration semantics.  Timestamps are *chained* —
-        each ``perf_counter`` read closes one region and opens the next
-        — so the profiler's own bookkeeping cost is attributed to a
-        phase instead of leaking out of the breakdown (which is what
-        lets the phase sum cover ≥90% of exploration wall time).  The
-        ample-eligibility scan is charged to ``por_ample``; each
-        ``_expand_step`` (plus its label bookkeeping) to its (process,
-        label) pair, which also feeds the ``successor_gen`` phase.
-        """
-        prof = self.profiler
-        phase_s = prof.phase_s
-        phase_calls = prof.phase_calls
-        labels = prof.labels
-        perf = time.perf_counter
-        procs = self.spec.processes
-        t = perf()
-        if self.use_por:
-            ample = self._deps_ample() if self.use_por_deps else None
-            for proc_index, process in enumerate(procs):
-                pc = state.procs[proc_index][0]
-                if pc is None:
-                    continue
-                if ample is None:
-                    is_ample = process.step_by_label[pc].local
-                else:
-                    is_ample = (process.name, pc) in ample
-                if is_ample:
-                    now = perf()
-                    phase_s["por_ample"] += now - t
-                    phase_calls["por_ample"] += 1
-                    t = now
-                    expanded = self._expand_step(state, proc_index)
-                    now = perf()
-                    dt = now - t
-                    t = now
-                    entry = labels.get((process.name, pc))
-                    if entry is None:
-                        entry = labels[(process.name, pc)] = [0, 0, 0.0]
-                    entry[0] += 1
-                    entry[1] += len(expanded)
-                    entry[2] += dt
-                    phase_s["successor_gen"] += dt
-                    phase_calls["successor_gen"] += 1
-                    if expanded:
-                        return expanded
-            now = perf()
-            phase_s["por_ample"] += now - t
-            phase_calls["por_ample"] += 1
-            t = now
-        result = []
-        for proc_index, process in enumerate(procs):
-            pc = state.procs[proc_index][0]
-            if pc is None:
-                continue
-            expanded = self._expand_step(state, proc_index)
-            now = perf()
-            dt = now - t
-            t = now
-            entry = labels.get((process.name, pc))
-            if entry is None:
-                entry = labels[(process.name, pc)] = [0, 0, 0.0]
-            entry[0] += 1
-            entry[1] += len(expanded)
-            entry[2] += dt
-            phase_s["successor_gen"] += dt
-            phase_calls["successor_gen"] += 1
-            result.extend(expanded)
-        return result
+    def _expand_profiled(self, state: State, proc_index: int):
+        """:meth:`_expand_step`, charged to its (process, label) pair."""
+        expanded = self._expand_step(state, proc_index)
+        pc = state.procs[proc_index][0]
+        if pc is not None:
+            self.profiler.lap_label(self.spec.processes[proc_index].name,
+                                    pc, len(expanded))
+        return expanded
 
     def _profile_options(self) -> dict:
         """The deterministic option fields of the profile artifact."""
@@ -494,198 +447,166 @@ class ModelChecker:
         if findings:
             raise UnsoundPORHintError(findings)
 
+    def _engine(self):
+        """The serial engine this checker's options select."""
+        if self.compiled:
+            from .compile import CompiledEngine
+
+            return CompiledEngine(self)
+        if self.fingerprint_mode is not None:
+            return _FingerprintEngine(self)
+        return _StateEngine(self)
+
     def run(self) -> CheckResult:
-        """Explore the full reachable state space and check properties."""
+        """Explore the full reachable state space and check properties.
+
+        The one serial search driver.  It sees the state space as a
+        graph over ints: an *engine* (:class:`_StateEngine`,
+        :class:`_FingerprintEngine`,
+        :class:`repro.spec.compile.CompiledEngine`) numbers states in
+        discovery order and owns everything that depends on how a state
+        is represented, stepped and stored:
+
+        * ``root()`` stores the canonical initial state as node 0 and
+          returns the name of the invariant it violates, or None;
+        * ``expand(index, out)`` appends the node of every transition
+          out of node ``index`` to ``out``, in successor order, and —
+          right after appending it — yields ``(action, child, failed)``
+          for each child its store had not seen before (numbered with
+          the next unused index); ``failed`` names the invariant the
+          child violates, or None;
+        * ``alive(index)`` (some non-daemon process has not terminated),
+          ``state(index)`` (the node as a :class:`State`) and
+          ``eventually(name)`` (a ◇□ predicate over indices) answer the
+          questions deadlock detection, traces and liveness ask;
+        * ``exploring()`` brackets the search, ``stats()`` is the
+          engine's part of ``CheckResult.stats`` and ``name`` labels
+          the profile artifact.
+
+        The driver owns the rest: BFS rounds and the frontier, the
+        transition count, parent/depth/edge bookkeeping, deadlock,
+        ``max_states``, ``stop_at_first_violation``, counterexample
+        traces, the per-round tracer and progress hooks, the liveness
+        pass and the single exit path.  Engines charge the exploration
+        phases to the profiler's chained clock as they go; the driver
+        charges only ``liveness``.
+        """
         if self.workers is not None:
             from .parallel import run_parallel
 
             return run_parallel(self)
-        if self.compiled:
-            from .compile import run_compiled
-
-            return run_compiled(self)
-        if self.fingerprint_mode is not None:
-            return self._run_serial_fp()
-        start_time = time.perf_counter()
-        prof = self.profiler
         perf = time.perf_counter
-        tracer = (CheckerTraceBuilder(
-                      label=f"check {getattr(self.spec, 'name', 'spec')}")
-                  if self.trace_out else None)
+        start_time = perf()
+        prof = self.profiler
         spec = self.spec
+        tracer = (CheckerTraceBuilder(
+                      label=f"check {getattr(spec, 'name', 'spec')}")
+                  if self.trace_out else None)
         if self.use_por and self.validate_por_hints:
             self._reject_unsound_hints()
-        init = self._canonical(spec.initial_state())
-        seen: dict[State, int] = {init: 0}
-        #: raw successor → canonical index; avoids re-canonicalizing the
-        #: same raw state reached along multiple paths.
-        raw_memo: dict[State, int] = {}
-        states: list[State] = [init]
+        explore_t0 = perf()
+        engine = self._engine()
         parent: list[tuple[int, str]] = [(-1, "<init>")]
         depth: list[int] = [0]
         edges: dict[int, list[int]] = {}
         violations: list[Violation] = []
-        diameter = 0
-        transitions = 0
 
         def trace_to(index: int) -> list[tuple[str, State]]:
             path = []
             while index >= 0:
                 pred, action = parent[index]
-                path.append((action, states[index]))
+                path.append((action, engine.state(index)))
                 index = pred
-            return list(reversed(path))
+            path.reverse()
+            return path
 
-        def check_invariants(index: int) -> bool:
-            view = spec.view(states[index])
-            for name, predicate in spec.invariants.items():
-                if not predicate(view):
-                    violations.append(
-                        Violation("invariant", name, trace_to(index)))
-                    return False
-            return True
+        def violated(kind: str, name: str, index: int) -> bool:
+            """Record a violation; True when the search must stop."""
+            violations.append(Violation(kind, name, trace_to(index)))
+            return self.stop_at_first
 
-        if prof is not None:
-            _plain_invariants = check_invariants
-
-            def check_invariants(index: int) -> bool:
-                t0 = perf()
-                ok = _plain_invariants(index)
-                prof.add("property_eval", perf() - t0)
-                return ok
-
-        explore_t0 = perf()
-        if not check_invariants(0) and self.stop_at_first:
-            elapsed = time.perf_counter() - start_time
-            stats = {"engine": "serial"}
-            if prof is not None:
-                prof.busy_s = perf() - explore_t0
-                stats["profile"] = self._profile_artifact(
-                    prof, engine="serial", total_s=elapsed,
-                    exploration_s=prof.busy_s,
-                    counts={"states": 1, "transitions": 0, "diameter": 0})
-            return CheckResult(False, 1, 0, 0, elapsed, violations,
-                               stats=stats)
-
-        if prof is not None:
-            phase_s = prof.phase_s
-            phase_calls = prof.phase_calls
+        failed = engine.root()
+        stop = failed is not None and violated("invariant", failed, 0)
+        n_states = 1
+        transitions = diameter = bfs_round = 0
         frontier = [0]
-        stop = False
-        bfs_round = 0
-        while frontier and not stop:
-            round_t0 = perf()
-            next_frontier = []
-            for index in frontier:
-                successors = self._successors(states[index])
-                edges[index] = []
-                if (self.check_deadlock and not successors
-                        and any(pc is not None and not process.daemon
-                                for process, (pc, _) in zip(
-                                    spec.processes, states[index].procs))):
-                    violations.append(
-                        Violation("deadlock", "no-enabled-step",
-                                  trace_to(index)))
-                    if self.stop_at_first:
+        expand = engine.expand
+        parent_append, depth_append = parent.append, depth.append
+        max_states = self.max_states
+        check_deadlock = self.check_deadlock
+        with engine.exploring():
+            while frontier and not stop:
+                round_t0 = perf()
+                next_frontier = []
+                for index in frontier:
+                    out = edges[index] = []
+                    child_depth = depth[index] + 1
+                    for action, child, failed in expand(index, out):
+                        n_states += 1
+                        parent_append((index, action))
+                        depth_append(child_depth)
+                        if child_depth > diameter:
+                            diameter = child_depth
+                        if failed is not None and violated(
+                                "invariant", failed, child):
+                            stop = True
+                            break
+                        next_frontier.append(child)
+                        if n_states > max_states:
+                            raise MemoryError(
+                                f"state space exceeds {max_states} states")
+                    transitions += len(out)
+                    if stop:
+                        break
+                    if (check_deadlock and not out and engine.alive(index)
+                            and violated("deadlock", "no-enabled-step",
+                                         index)):
                         stop = True
                         break
-                for action, succ in successors:
-                    transitions += 1
-                    if prof is None:
-                        cached = raw_memo.get(succ)
-                    else:
-                        t0 = perf()
-                        cached = raw_memo.get(succ)
-                        t1 = perf()
-                        phase_s["dedup"] += t1 - t0
-                        phase_calls["dedup"] += 1
-                    if cached is not None:
-                        edges[index].append(cached)
-                        continue
-                    if prof is None:
-                        canon = self._canonical(succ)
-                        existing = seen.get(canon)
-                    else:
-                        canon = self._canonical(succ)
-                        t2 = perf()
-                        phase_s["canonicalize"] += t2 - t1
-                        phase_calls["canonicalize"] += 1
-                        existing = seen.get(canon)
-                        t3 = perf()
-                        phase_s["dedup"] += t3 - t2
-                        phase_calls["dedup"] += 1
-                    if existing is not None:
-                        raw_memo[succ] = existing
-                        edges[index].append(existing)
-                        continue
-                    new_index = len(states)
-                    seen[canon] = new_index
-                    raw_memo[succ] = new_index
-                    states.append(canon)
-                    parent.append((index, action))
-                    depth.append(depth[index] + 1)
-                    diameter = max(diameter, depth[new_index])
-                    edges[index].append(new_index)
-                    if prof is not None:
-                        # Seen-store insertion rides with the lookup:
-                        # chained continuation of the dedup region.
-                        t4 = perf()
-                        phase_s["dedup"] += t4 - t3
-                    if not check_invariants(new_index) and self.stop_at_first:
-                        stop = True
-                        break
-                    next_frontier.append(new_index)
-                    if len(states) > self.max_states:
-                        raise MemoryError(
-                            f"state space exceeds {self.max_states} states")
-                if stop:
-                    break
-            prev_len = len(frontier)
-            frontier = next_frontier
-            bfs_round += 1
-            if tracer is not None:
-                now = perf() - start_time
-                tracer.round_span("serial", bfs_round - 1,
-                                  round_t0 - start_time, now,
-                                  frontier=prev_len)
-                tracer.counter("frontier depth", now,
-                               {"states": len(frontier)})
-                if transitions:
-                    tracer.counter("dedup", now, {
-                        "hit_rate": round(1 - len(states) / transitions, 4)})
-            if self.progress is not None:
-                self._progress_round(bfs_round, len(states), len(frontier),
-                                     prev_len, transitions, start_time)
+                prev_len = len(frontier)
+                frontier = next_frontier
+                bfs_round += 1
+                if tracer is not None:
+                    now = perf() - start_time
+                    tracer.round_span(engine.name, bfs_round - 1,
+                                      round_t0 - start_time, now,
+                                      frontier=prev_len)
+                    tracer.counter("frontier depth", now,
+                                   {"states": len(frontier)})
+                    if transitions:
+                        tracer.counter("dedup", now, {
+                            "hit_rate": round(1 - n_states / transitions, 4)})
+                if self.progress is not None:
+                    self._progress_round(bfs_round, n_states, len(frontier),
+                                         prev_len, transitions, start_time)
 
-        explore_end = perf()
-        if not stop and spec.eventually_always:
-            if prof is None:
-                violations.extend(
-                    self._check_liveness(states, edges, depth, trace_to))
-            else:
-                t0 = perf()
-                violations.extend(
-                    self._check_liveness(states, edges, depth, trace_to))
-                prof.add("liveness", perf() - t0)
+            explore_end = perf()
+            if not stop and spec.eventually_always:
+                if prof is not None:
+                    prof.mark()
+                violations.extend(self._check_liveness(
+                    engine, n_states, edges, depth, trace_to))
+                if prof is not None:
+                    prof.lap("liveness")
 
-        elapsed = time.perf_counter() - start_time
-        stats = {"engine": "serial"}
+        elapsed = perf() - start_time
+        stats = engine.stats()
         self._record_auto_choice(stats)
         if prof is not None:
             exploration_s = explore_end - explore_t0
             prof.busy_s = exploration_s
             stats["profile"] = self._profile_artifact(
-                prof, engine="serial", total_s=elapsed,
+                prof, engine=engine.name, total_s=elapsed,
                 exploration_s=exploration_s,
-                counts={"states": len(states), "transitions": transitions,
+                counts={"states": n_states, "transitions": transitions,
                         "diameter": diameter})
         if tracer is not None:
             tracer.write(self.trace_out)
         if self.progress is not None:
-            self.progress.done(states=len(states), transitions=transitions,
+            self.progress.done(states=n_states, transitions=transitions,
                                diameter=diameter,
                                elapsed_s=round(elapsed, 2))
-        result = CheckResult(not violations, len(states), transitions,
+        result = CheckResult(not violations, n_states, transitions,
                              diameter, elapsed, violations, stats=stats)
         if self.registry is not None:
             self._report_metrics(result)
@@ -703,236 +624,6 @@ class ModelChecker:
             stats["host_cpus"] = self.auto_host_cpus
             stats["workers"] = self.workers
 
-    def _run_serial_fp(self) -> CheckResult:
-        """Serial BFS deduplicating by 64-bit fingerprint only.
-
-        The TLC-style memory regime: ``seen`` maps fingerprint ints to
-        state indices instead of keeping every canonical state hashable
-        in a dict (and no raw-successor memo — every successor is
-        re-fingerprinted, which is exactly the cost the incremental mode
-        attacks).  ``fingerprint_mode="full"`` re-encodes the entire
-        canonical state per successor; ``"incremental"`` re-digests only
-        the slots the step wrote (per :func:`~repro.spec.lang.changed_slots`)
-        against the parent's cached digest vector, falling back to a full
-        vector when symmetry canonicalization replaced the state.  Both
-        produce the same fingerprints as :func:`fingerprint_state`, so
-        the :meth:`CheckResult.to_json` outcome is byte-identical to the
-        default engine's (the differential tests enforce this).
-        """
-        from .fingerprint import IncrementalFingerprinter
-
-        start_time = time.perf_counter()
-        prof = self.profiler
-        perf = time.perf_counter
-        tracer = (CheckerTraceBuilder(
-                      label=f"check {getattr(self.spec, 'name', 'spec')}")
-                  if self.trace_out else None)
-        spec = self.spec
-        if self.use_por and self.validate_por_hints:
-            self._reject_unsound_hints()
-        incremental = self.fingerprint_mode == "incremental"
-        fper = IncrementalFingerprinter(spec) if incremental else None
-        init = self._canonical(spec.initial_state())
-        if incremental:
-            init_vec = fper.vector(init)
-            init_fp = fper.fingerprint(init_vec)
-        else:
-            init_vec = None
-            init_fp = fingerprint_state(init)
-        seen: dict[int, int] = {init_fp: 0}
-        states: list[State] = [init]
-        #: Per-state digest vectors (incremental mode only), parallel to
-        #: ``states`` — the cache the update path diffs against.
-        vectors: list = [init_vec]
-        parent: list[tuple[int, str]] = [(-1, "<init>")]
-        depth: list[int] = [0]
-        edges: dict[int, list[int]] = {}
-        violations: list[Violation] = []
-        diameter = 0
-        transitions = 0
-
-        def trace_to(index: int) -> list[tuple[str, State]]:
-            path = []
-            while index >= 0:
-                pred, action = parent[index]
-                path.append((action, states[index]))
-                index = pred
-            return list(reversed(path))
-
-        def check_invariants(index: int) -> bool:
-            view = spec.view(states[index])
-            for name, predicate in spec.invariants.items():
-                if not predicate(view):
-                    violations.append(
-                        Violation("invariant", name, trace_to(index)))
-                    return False
-            return True
-
-        if prof is not None:
-            _plain_invariants = check_invariants
-
-            def check_invariants(index: int) -> bool:
-                t0 = perf()
-                ok = _plain_invariants(index)
-                prof.add("property_eval", perf() - t0)
-                return ok
-
-        explore_t0 = perf()
-        if not check_invariants(0) and self.stop_at_first:
-            elapsed = time.perf_counter() - start_time
-            stats = {"engine": "serial",
-                     "fingerprint_mode": self.fingerprint_mode}
-            if prof is not None:
-                prof.busy_s = perf() - explore_t0
-                stats["profile"] = self._profile_artifact(
-                    prof, engine="serial-fp", total_s=elapsed,
-                    exploration_s=prof.busy_s,
-                    counts={"states": 1, "transitions": 0, "diameter": 0})
-            return CheckResult(False, 1, 0, 0, elapsed, violations,
-                               stats=stats)
-
-        if prof is not None:
-            phase_s = prof.phase_s
-            phase_calls = prof.phase_calls
-        frontier = [0]
-        stop = False
-        bfs_round = 0
-        while frontier and not stop:
-            round_t0 = perf()
-            next_frontier = []
-            for index in frontier:
-                state = states[index]
-                successors = self._successors(state)
-                edges[index] = []
-                if (self.check_deadlock and not successors
-                        and any(pc is not None and not process.daemon
-                                for process, (pc, _) in zip(
-                                    spec.processes, state.procs))):
-                    violations.append(
-                        Violation("deadlock", "no-enabled-step",
-                                  trace_to(index)))
-                    if self.stop_at_first:
-                        stop = True
-                        break
-                for action, succ in successors:
-                    transitions += 1
-                    if prof is None:
-                        canon = self._canonical(succ)
-                    else:
-                        t0 = perf()
-                        canon = self._canonical(succ)
-                        t1 = perf()
-                        phase_s["canonicalize"] += t1 - t0
-                        phase_calls["canonicalize"] += 1
-                    if incremental:
-                        if canon is succ:
-                            # Step semantics copy the parent's slot tuples
-                            # and replace only written slots, so the
-                            # identity diff against the parent's cached
-                            # vector touches just the write footprint.
-                            vec = fper.update(vectors[index], state, succ)
-                        else:
-                            vec = fper.vector(canon)
-                        fp = fper.fingerprint(vec)
-                    else:
-                        vec = None
-                        fp = fingerprint_state(canon)
-                    if prof is None:
-                        existing = seen.get(fp)
-                    else:
-                        t2 = perf()
-                        phase_s["fingerprint"] += t2 - t1
-                        phase_calls["fingerprint"] += 1
-                        existing = seen.get(fp)
-                        t3 = perf()
-                        phase_s["dedup"] += t3 - t2
-                        phase_calls["dedup"] += 1
-                    if existing is not None:
-                        edges[index].append(existing)
-                        continue
-                    new_index = len(states)
-                    seen[fp] = new_index
-                    states.append(canon)
-                    vectors.append(vec)
-                    parent.append((index, action))
-                    depth.append(depth[index] + 1)
-                    diameter = max(diameter, depth[new_index])
-                    edges[index].append(new_index)
-                    if prof is not None:
-                        # Seen-store insertion rides with the lookup:
-                        # chained continuation of the dedup region.
-                        t4 = perf()
-                        phase_s["dedup"] += t4 - t3
-                    if not check_invariants(new_index) and self.stop_at_first:
-                        stop = True
-                        break
-                    next_frontier.append(new_index)
-                    if len(states) > self.max_states:
-                        raise MemoryError(
-                            f"state space exceeds {self.max_states} states")
-                if stop:
-                    break
-            prev_len = len(frontier)
-            frontier = next_frontier
-            bfs_round += 1
-            if tracer is not None:
-                now = perf() - start_time
-                tracer.round_span("serial", bfs_round - 1,
-                                  round_t0 - start_time, now,
-                                  frontier=prev_len)
-                tracer.counter("frontier depth", now,
-                               {"states": len(frontier)})
-                if transitions:
-                    tracer.counter("dedup", now, {
-                        "hit_rate": round(1 - len(states) / transitions, 4)})
-            if self.progress is not None:
-                self._progress_round(bfs_round, len(states), len(frontier),
-                                     prev_len, transitions, start_time)
-
-        explore_end = perf()
-        if not stop and spec.eventually_always:
-            if prof is None:
-                violations.extend(
-                    self._check_liveness(states, edges, depth, trace_to))
-            else:
-                t0 = perf()
-                violations.extend(
-                    self._check_liveness(states, edges, depth, trace_to))
-                prof.add("liveness", perf() - t0)
-
-        elapsed = time.perf_counter() - start_time
-        stats = {"engine": "serial",
-                 "fingerprint_mode": self.fingerprint_mode}
-        # Deterministic hashing-work counter (slot digests consulted):
-        # the full-encoding mode re-digests every slot of every
-        # successor (plus the initial state); incremental mode pays
-        # only for written slots.  Lives in stats — never to_json —
-        # so the canonical outcome stays byte-identical.
-        slot_count = len(spec.global_names) + len(spec.processes)
-        stats["fp_slots_digested"] = (
-            fper.slots_digested if incremental
-            else (transitions + 1) * slot_count)
-        self._record_auto_choice(stats)
-        if prof is not None:
-            exploration_s = explore_end - explore_t0
-            prof.busy_s = exploration_s
-            stats["profile"] = self._profile_artifact(
-                prof, engine="serial-fp", total_s=elapsed,
-                exploration_s=exploration_s,
-                counts={"states": len(states), "transitions": transitions,
-                        "diameter": diameter})
-        if tracer is not None:
-            tracer.write(self.trace_out)
-        if self.progress is not None:
-            self.progress.done(states=len(states), transitions=transitions,
-                               diameter=diameter,
-                               elapsed_s=round(elapsed, 2))
-        result = CheckResult(not violations, len(states), transitions,
-                             diameter, elapsed, violations, stats=stats)
-        if self.registry is not None:
-            self._report_metrics(result)
-        return result
-
     def _report_metrics(self, result: CheckResult) -> None:
         registry = self.registry
         # Per-run "checker<N>" namespacing (the env-style registry
@@ -947,7 +638,8 @@ class ModelChecker:
                 round(result.distinct_states / result.elapsed, 1))
 
     # -- liveness -----------------------------------------------------------------
-    def _check_liveness(self, states, edges, depth, trace_to) -> list[Violation]:
+    def _check_liveness(self, engine, n_states: int, edges, depth,
+                        trace_to) -> list[Violation]:
         """◇□P: every terminal SCC must satisfy P everywhere.
 
         The reported witness for a violated property is *canonical*: the
@@ -958,25 +650,28 @@ class ModelChecker:
         does not reproduce; the canonical witness makes serial and
         parallel runs — and repeated runs — byte-identical.
         """
-        sccs = _tarjan(len(states), edges)
-        scc_of = {}
+        sccs = _tarjan_flat(n_states, edges)
+        scc_of = [0] * n_states
         for scc_id, members in enumerate(sccs):
             for node in members:
                 scc_of[node] = scc_id
         terminal = [True] * len(sccs)
         for node, outs in edges.items():
+            own = scc_of[node]
             for out in outs:
-                if scc_of[out] != scc_of[node]:
-                    terminal[scc_of[node]] = False
+                if scc_of[out] != own:
+                    terminal[own] = False
         violations = []
-        for name, predicate in self.spec.eventually_always.items():
+        for name in self.spec.eventually_always:
+            holds = engine.eventually(name)
             best = None  # ((depth, fingerprint), node)
             for scc_id, members in enumerate(sccs):
                 if not terminal[scc_id]:
                     continue
                 for node in members:
-                    if not predicate(self.spec.view(states[node])):
-                        key = (depth[node], fingerprint_state(states[node]))
+                    if not holds(node):
+                        key = (depth[node],
+                               fingerprint_state(engine.state(node)))
                         if best is None or key < best[0]:
                             best = (key, node)
             if best is not None:
@@ -985,57 +680,244 @@ class ModelChecker:
         return violations
 
 
-def _tarjan(n: int, edges: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan SCC over nodes 0..n-1."""
-    index_counter = [0]
-    stack: list[int] = []
-    lowlink = [0] * n
-    index = [-1] * n
-    on_stack = [False] * n
-    result: list[list[int]] = []
+class _StateEngine:
+    """Interpreted stepping, canonical states as keys (the reference).
 
+    ``seen`` keeps every canonical state hashable; ``raw_memo`` maps a
+    raw successor to its node so a state reached along several paths is
+    canonicalized once.
+    """
+
+    name = "serial"
+    exploring = staticmethod(contextlib.nullcontext)
+
+    def __init__(self, checker: ModelChecker):
+        self.spec = checker.spec
+        self.prof = checker.profiler
+        self.successors = checker._successors
+        self.canonical = checker._canonical
+        self.states: list[State] = []
+        self.seen: dict = {}
+        self.raw_memo: dict[State, int] = {}
+
+    def root(self) -> Optional[str]:
+        init = self.canonical(self.spec.initial_state())
+        if self.prof is not None:
+            self.prof.mark()
+        return self._store(init, init)
+
+    def _store(self, key, state: State) -> Optional[str]:
+        """Append a new node under ``key``; the invariant it violates."""
+        prof = self.prof
+        self.seen[key] = len(self.states)
+        self.states.append(state)
+        if prof is not None:
+            # Seen-store insertion rides with the lookup that missed.
+            prof.lap("dedup", 0)
+        failed = None
+        view = self.spec.view(state)
+        for name, predicate in self.spec.invariants.items():
+            if not predicate(view):
+                failed = name
+                break
+        if prof is not None:
+            prof.lap("property_eval")
+        return failed
+
+    def expand(self, index: int, out: list):
+        prof = self.prof
+        raw_memo = self.raw_memo
+        for action, succ in self.successors(self.states[index]):
+            child = raw_memo.get(succ)
+            if prof is not None:
+                prof.lap("dedup")
+            if child is None:
+                canon = self.canonical(succ)
+                if prof is not None:
+                    prof.lap("canonicalize")
+                child = self.seen.get(canon)
+                if prof is not None:
+                    prof.lap("dedup")
+                if child is None:
+                    child = raw_memo[succ] = len(self.states)
+                    out.append(child)
+                    yield action, child, self._store(canon, canon)
+                    continue
+                raw_memo[succ] = child
+            out.append(child)
+
+    def alive(self, index: int) -> bool:
+        return any(pc is not None and not process.daemon
+                   for process, (pc, _) in zip(self.spec.processes,
+                                               self.states[index].procs))
+
+    def state(self, index: int) -> State:
+        return self.states[index]
+
+    def eventually(self, name: str):
+        predicate = self.spec.eventually_always[name]
+        view, states = self.spec.view, self.states
+        return lambda index: predicate(view(states[index]))
+
+    def stats(self) -> dict:
+        return {"engine": "serial"}
+
+
+class _FingerprintEngine(_StateEngine):
+    """Interpreted stepping, 64-bit fingerprints as keys.
+
+    The TLC-style memory regime: ``seen`` maps fingerprint ints to
+    nodes instead of keeping every canonical state hashable in a dict
+    (and no raw-successor memo — every successor is re-fingerprinted,
+    which is exactly the cost the incremental mode attacks).
+    ``fingerprint_mode="full"`` re-encodes the entire canonical state
+    per successor; ``"incremental"`` re-digests only the slots the step
+    wrote (per :func:`~repro.spec.lang.changed_slots`) against the
+    parent's cached digest vector, falling back to a full vector when
+    symmetry canonicalization replaced the state.  Both produce the same
+    fingerprints as :func:`fingerprint_state`, so the outcome is
+    byte-identical to the reference engine's.
+    """
+
+    name = "serial-fp"
+
+    def __init__(self, checker: ModelChecker):
+        super().__init__(checker)
+        self.mode = checker.fingerprint_mode
+        self.fper = (IncrementalFingerprinter(self.spec)
+                     if self.mode == "incremental" else None)
+        #: Digest vector of every node (incremental mode), parallel to
+        #: ``states`` — the cache the update path diffs against.
+        self.vectors: list = []
+        self.slot_count = len(self.spec.global_names) + len(self.spec.processes)
+        self.slots_digested = 0
+
+    def _fingerprint(self, canon: State, parent: Optional[int] = None,
+                     raw: Optional[State] = None) -> tuple:
+        """(fingerprint, digest vector) of a canonical state."""
+        fper = self.fper
+        if fper is None:
+            self.slots_digested += self.slot_count
+            return fingerprint_state(canon), None
+        if canon is raw:
+            # Step semantics copy the parent's slot tuples and replace
+            # only written slots, so the identity diff against the
+            # parent's cached vector touches just the write footprint.
+            vec = fper.update(self.vectors[parent], self.states[parent], raw)
+        else:
+            vec = fper.vector(canon)
+        return fper.fingerprint(vec), vec
+
+    def root(self) -> Optional[str]:
+        init = self.canonical(self.spec.initial_state())
+        key, vec = self._fingerprint(init)
+        self.vectors.append(vec)
+        if self.prof is not None:
+            self.prof.mark()
+        return self._store(key, init)
+
+    def expand(self, index: int, out: list):
+        prof = self.prof
+        for action, succ in self.successors(self.states[index]):
+            canon = self.canonical(succ)
+            if prof is not None:
+                prof.lap("canonicalize")
+            key, vec = self._fingerprint(canon, index, succ)
+            if prof is not None:
+                prof.lap("fingerprint")
+            child = self.seen.get(key)
+            if prof is not None:
+                prof.lap("dedup")
+            if child is None:
+                child = len(self.states)
+                out.append(child)
+                self.vectors.append(vec)
+                yield action, child, self._store(key, canon)
+            else:
+                out.append(child)
+
+    def stats(self) -> dict:
+        # Deterministic hashing-work counter (slot digests consulted):
+        # the full-encoding mode re-digests every slot of every state it
+        # fingerprints; incremental mode pays only for written slots.
+        return {"engine": "serial", "fingerprint_mode": self.mode,
+                "fp_slots_digested": (self.slots_digested if self.fper is None
+                                      else self.fper.slots_digested)}
+
+
+def _tarjan_flat(n: int, edges: dict) -> list[list[int]]:
+    """Iterative Tarjan SCC over nodes 0..n-1 (``edges``: node → outs).
+
+    A node without an ``edges`` entry has no out-edges.  The DFS work
+    stack lives in parallel lists and each node's out-list is fetched
+    once, which is what keeps the ~1M-edge liveness passes cheap.
+    """
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    empty: tuple = ()
+    wnode: list[int] = []
+    wpos: list[int] = []
+    wout: list = []
+    edges_get = edges.get
     for root in range(n):
         if index[root] != -1:
             continue
-        work = [(root, 0)]
-        while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = lowlink[node] = index_counter[0]
-                index_counter[0] += 1
-                stack.append(node)
-                on_stack[node] = True
-            out = edges.get(node, [])
+        wnode.append(root)
+        wpos.append(0)
+        wout.append(edges_get(root, empty))
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = 1
+        while wnode:
+            node = wnode[-1]
+            out = wout[-1]
+            pos = wpos[-1]
+            nout = len(out)
             advanced = False
-            while edge_pos < len(out):
-                succ = out[edge_pos]
-                edge_pos += 1
-                if index[succ] == -1:
-                    work[-1] = (node, edge_pos)
-                    work.append((succ, 0))
+            lown = low[node]
+            while pos < nout:
+                succ = out[pos]
+                pos += 1
+                si = index[succ]
+                if si == -1:
+                    wpos[-1] = pos
+                    low[node] = lown
+                    wnode.append(succ)
+                    wpos.append(0)
+                    wout.append(edges_get(succ, empty))
+                    index[succ] = low[succ] = counter
+                    counter += 1
+                    stack.append(succ)
+                    on_stack[succ] = 1
                     advanced = True
                     break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
+                if on_stack[succ] and si < lown:
+                    lown = si
             if advanced:
                 continue
-            work[-1] = (node, edge_pos)
-            if edge_pos >= len(out):
-                work.pop()
-                if work:
-                    parent_node = work[-1][0]
-                    lowlink[parent_node] = min(lowlink[parent_node],
-                                               lowlink[node])
-                if lowlink[node] == index[node]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == node:
-                            break
-                    result.append(component)
-    return result
+            low[node] = lown
+            wnode.pop()
+            wpos.pop()
+            wout.pop()
+            if wnode:
+                p = wnode[-1]
+                if lown < low[p]:
+                    low[p] = lown
+            if lown == index[node]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    component.append(w)
+                    if w == node:
+                        break
+                sccs.append(component)
+    return sccs
 
 
 def check(spec: Spec, **kwargs) -> CheckResult:

@@ -39,28 +39,25 @@ module removes that tax from the hot path (ROADMAP open item 2):
   table lookup.  The same mask logic skips invariant re-evaluation for
   properties whose read slots were not written.
 
-Byte-identity: ``run_compiled`` mirrors the serial BFS of
-:class:`~repro.spec.checker.ModelChecker` decision for decision — POR
-ample scan order, successor order (the LIFO choice-oracle enumeration),
-dedup-by-equality, deadlock condition, invariant order, the canonical
-(depth, fingerprint) liveness witness, and the ``max_states`` guard —
-so ``CheckResult.to_json`` is identical to the interpreted engine's on
-every spec (the engine differential matrix enforces this).
+Byte-identity: :class:`CompiledEngine` plugs into the same search driver
+(:meth:`~repro.spec.checker.ModelChecker.run`) as the interpreted
+engines and mirrors them decision for decision — POR ample scan order,
+successor order (the LIFO choice-oracle enumeration), dedup-by-equality,
+deadlock condition, invariant order — so ``CheckResult.to_json`` is
+identical to the interpreted engine's on every spec (the engine
+differential matrix enforces this).
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
-import time
 from operator import itemgetter
 from typing import Optional
 
-from ..obs.prof import CheckerTraceBuilder
-from .checker import CheckResult, Violation
-from .fingerprint import fingerprint_state
 from .lang import Blocked, Ctx, NeedChoice, Spec, SpecView, State
 
-__all__ = ["CompiledSpec", "CompiledStepper", "run_compiled"]
+__all__ = ["CompiledSpec", "CompiledStepper", "CompiledEngine"]
 
 #: Result-tuple fields: (read_mask, action, successors, is_ample, label_key)
 #: where successors is a tuple of (writes, write_mask) pairs and writes
@@ -484,7 +481,7 @@ class CompiledStepper:
     under ``--compiled`` and by the per-label differential tests.  It
     pays vector/state conversion per call, so it buys parity and
     bounded per-label work, not the flat-vector engine's raw speed
-    (that lives in :func:`run_compiled`).
+    (that lives in :class:`CompiledEngine`).
     """
 
     def __init__(self, spec: Spec, use_por: bool = True, ample_keys=None,
@@ -527,15 +524,7 @@ class CompiledStepper:
         entry = cs.dispatch[proc_index].get(pc_id)
         if entry is None:
             return cs.term_results[proc_index]
-        memo = entry.memo
-        if memo is None:
-            return entry.fill(vec)
-        getter = entry.getter
-        key = getter(vec) if getter is not None else None
-        result = memo.get(key)
-        if result is None:
-            result = entry.fill(vec)
-        return result
+        return _probe(entry, vec)
 
     def _materialize(self, vec: tuple, result):
         action = result[_ACTION]
@@ -548,10 +537,26 @@ class CompiledStepper:
         return out
 
 
+def _probe(entry: _LabelEntry, vec: tuple, prof=None):
+    """One label's result for ``vec``: memo hit, or a (timed) fill."""
+    memo = entry.memo
+    if memo is None:
+        return entry.fill(vec)
+    getter = entry.getter
+    result = memo.get(getter(vec) if getter is not None else None)
+    if result is None:
+        if prof is not None:
+            prof.lap("successor_gen")
+        result = entry.fill(vec)
+        if prof is not None:
+            prof.lap("compile")
+    return result
+
+
 def _build_fast_expand(cs: CompiledSpec):
     """exec-generate the per-state expansion with the process loop unrolled.
 
-    Semantically the textbook full loop of ``run_compiled`` (delta
+    Semantically :meth:`CompiledEngine._expand_record`'s full loop (delta
     reuse, then dispatch probe, then fill), specialized to this spec:
     pc slots become literals, per-process dispatch tables and terminal
     results become closure locals, and the record list is built in one
@@ -597,598 +602,257 @@ def _build_fast_expand(cs: CompiledSpec):
     return namespace["_make"](cs.dispatch, cs.term_results)
 
 
-def run_compiled(checker) -> CheckResult:
-    """Serial BFS over flat vectors; byte-identical to ``ModelChecker.run``.
+class CompiledEngine:
+    """The compiled serial engine behind ``ModelChecker.run``'s driver.
 
-    ``checker`` is a :class:`~repro.spec.checker.ModelChecker` with
-    ``compiled=True``; this is its serial engine the way
-    ``run_parallel`` is its parallel one.
+    Nodes are canonical flat vectors, deduplicated by equality in
+    ``seen`` (plus a raw-vector memo in front of symmetry
+    canonicalization, the analog of the interpreted engine's).  Three
+    side lists parallel to ``vecs`` carry what delta reuse needs: the
+    write mask of the transition that discovered each node, the
+    expansion record of its parent (replaced by its own once it has been
+    expanded), and whether it passed every invariant.
     """
-    spec = checker.spec
-    start_time = time.perf_counter()
-    perf = time.perf_counter
-    prof = checker.profiler
-    tracer = (CheckerTraceBuilder(
-                  label=f"check {getattr(spec, 'name', 'spec')} (compiled)")
-              if checker.trace_out else None)
-    if checker.use_por and checker.validate_por_hints:
-        checker._reject_unsound_hints()
-    explore_t0 = perf()
-    ample_keys = checker._deps_ample() if checker.use_por_deps else None
-    cs = CompiledSpec(spec, ample_keys=ample_keys,
-                      uncompiled_labels=getattr(
-                          checker, "uncompiled_labels", ()))
-    if prof is not None:
-        prof.add("compile", perf() - explore_t0)
 
-    use_symmetry = checker.use_symmetry
-    init_state = checker._canonical(spec.initial_state())
-    init_vec = cs.to_vector(init_state)
-    all_mask = cs.all_mask
-    none_id = cs.none_id
-    pc_slots = cs.pc_slots
-    dispatch = cs.dispatch
-    term_results = cs.term_results
-    nprocs = len(spec.processes)
-    proc_range = range(nprocs)
-    use_por = checker.use_por
-    scan_ample = use_por and cs.any_ample
+    name = "compiled"
 
-    seen: dict = {init_vec: 0}
-    #: raw successor vector → canonical index (symmetry only), the
-    #: analog of the interpreted engine's raw_memo.
-    raw_memo: dict = {}
-    vecs: list[tuple] = [init_vec]
-    parent: list[tuple[int, str]] = [(-1, "<init>")]
-    depth: list[int] = [0]
-    #: Write mask of the transition that discovered each state
-    #: (all_mask when symmetry replaced the raw successor).
-    wmask_of: list[int] = [all_mask]
-    #: Per-state expansion records for delta reuse (filled at expansion).
-    recs: list = [None]
-    edges: dict[int, list[int]] = {}
-    violations: list[Violation] = []
-    diameter = 0
-    transitions = 0
-    delta_reuses = 0
-    probes = 0
-
-    inv_entries = cs.invariant_entries
-    inv_union_rmask = 0  # grows with the entries' masks
-    #: Per-state "passed every invariant" flags, for the delta skip.
-    inv_ok: list[bool] = []
-
-    def trace_to(index: int) -> list[tuple[str, State]]:
-        path = []
-        while index >= 0:
-            pred, action = parent[index]
-            path.append((action, cs.to_state(vecs[index])))
-            index = pred
-        return list(reversed(path))
-
-    def check_invariants(index: int) -> bool:
-        vec = vecs[index]
-        ok = True
-        for prop in inv_entries:
-            if not prop.value(vec):
-                violations.append(
-                    Violation("invariant", prop.name, trace_to(index)))
-                ok = False
-                break
-        inv_ok.append(ok)
-        return ok
-
-    if prof is not None:
-        t0 = perf()
-    if not check_invariants(0) and checker.stop_at_first:
-        elapsed = time.perf_counter() - start_time
-        stats = {"engine": "compiled", "compiled": cs.coverage()}
+    def __init__(self, checker):
+        prof = self.prof = checker.profiler
         if prof is not None:
-            prof.add("property_eval", perf() - t0)
-            prof.busy_s = perf() - explore_t0
-            stats["profile"] = checker._profile_artifact(
-                prof, engine="compiled", total_s=elapsed,
-                exploration_s=prof.busy_s,
-                counts={"states": 1, "transitions": 0, "diameter": 0})
-        return CheckResult(False, 1, 0, 0, elapsed, violations, stats=stats)
-    if prof is not None:
-        prof.add("property_eval", perf() - t0)
-        phase_s = prof.phase_s
-        phase_calls = prof.phase_calls
-        prof_labels = prof.labels
-    for prop in inv_entries:
-        inv_union_rmask |= prop.rmask
+            prof.mark()
+        self.cs = cs = CompiledSpec(
+            checker.spec,
+            ample_keys=checker._deps_ample() if checker.use_por_deps else None,
+            uncompiled_labels=checker.uncompiled_labels)
+        if prof is not None:
+            prof.lap("compile")
+        self.canonical = checker._canonical if checker.use_symmetry else None
+        self.scan_ample = checker.use_por and cs.any_ample
+        #: The unrolled expansion twin (see :func:`_build_fast_expand`) —
+        #: only off the profiled path (which owns the phase timestamps
+        #: and label counters) and the ample-scan path (whose early exit
+        #: :meth:`_expand_record` encodes).
+        self.fast_expand = (None if prof is not None or self.scan_ample
+                            else _build_fast_expand(cs))
+        self.seen: dict = {}
+        self.raw_memo: dict = {}
+        self.vecs: list[tuple] = []
+        self.wmask_of: list[int] = []
+        self.recs: list = []
+        self.inv_ok: list[bool] = []
+        #: Union of the invariants' read masks (grows with their fills).
+        self.inv_union_rmask = 0
+        self.delta_reuses = 0
+        self.probes = 0
 
-    max_states = checker.max_states
-    check_deadlock = checker.check_deadlock
-    stop_at_first = checker.stop_at_first
-    live_pc_slots = cs.live_pc_slots
-    frontier = [0]
-    nvecs = 1
-    stop = False
-    bfs_round = 0
-    #: The unrolled expansion twin (see :func:`_build_fast_expand`) —
-    #: only off the profiled path (which owns the phase timestamps) and
-    #: the ample-scan path (whose early exit the loop below encodes).
-    fast_expand = (None if prof is not None or scan_ample
-                   else _build_fast_expand(cs))
-    none_prec = [None] * nprocs
-    vecs_append = vecs.append
-    parent_append = parent.append
-    depth_append = depth.append
-    wmask_append = wmask_of.append
-    recs_append = recs.append
-    inv_ok_append = inv_ok.append
-    # Exploration allocates monotonically (states are never freed), so
-    # cyclic-GC passes over the growing heap are pure overhead — pause
-    # collection for the duration, like TLC's generation-free workers.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while frontier and not stop:
-            round_t0 = perf()
-            next_frontier = []
-            for index in frontier:
-                vec = vecs[index]
-                pidx = parent[index][0]
-                if fast_expand is not None:
-                    rec, d, p = fast_expand(
-                        vec, recs[pidx] if pidx >= 0 else none_prec,
-                        wmask_of[index])
-                    delta_reuses += d
-                    probes += p
-                    expansion = rec
-                    recs[index] = rec
-                    out_edges = edges[index] = []
-                    had_successor = False
-                    parent_inv_ok = inv_ok[index]
-                    child_depth = depth[index] + 1
-                    for r in expansion:
-                        succs = r[_SUCCS]
-                        if not succs:
-                            continue
-                        had_successor = True
-                        action = r[_ACTION]
-                        for writes, wm2 in succs:
-                            transitions += 1
-                            child = list(vec)
-                            for slot, vid in writes:
-                                child[slot] = vid
-                            tvec = tuple(child)
-                            if use_symmetry:
-                                cidx = raw_memo.get(tvec)
-                                if cidx is not None:
-                                    out_edges.append(cidx)
-                                    continue
-                                canon_state = checker._canonical(
-                                    cs.to_state(tvec))
-                                cvec = cs.to_vector(canon_state)
-                                if cvec != tvec:
-                                    wm2 = all_mask
-                                new_index = nvecs
-                                existing = seen.setdefault(cvec, new_index)
-                                if existing != new_index:
-                                    raw_memo[tvec] = existing
-                                    out_edges.append(existing)
-                                    continue
-                                raw_memo[tvec] = new_index
-                                tvec = cvec
-                            else:
-                                new_index = nvecs
-                                existing = seen.setdefault(tvec, new_index)
-                                if existing != new_index:
-                                    out_edges.append(existing)
-                                    continue
-                            nvecs = new_index + 1
-                            vecs_append(tvec)
-                            parent_append((index, action))
-                            depth_append(child_depth)
-                            wmask_append(wm2)
-                            recs_append(None)
-                            if child_depth > diameter:
-                                diameter = child_depth
-                            out_edges.append(new_index)
-                            if parent_inv_ok and not (wm2 & inv_union_rmask):
-                                inv_ok_append(True)
-                            else:
-                                if not check_invariants(new_index) \
-                                        and stop_at_first:
-                                    stop = True
-                                    break
-                                new_union = 0
-                                for prop in inv_entries:
-                                    new_union |= prop.rmask
-                                inv_union_rmask = new_union
-                            next_frontier.append(new_index)
-                            if nvecs > max_states:
-                                raise MemoryError(
-                                    f"state space exceeds {max_states} states")
-                        if stop:
-                            break
-                    if not stop and check_deadlock and not had_successor:
-                        alive = False
-                        for slot in live_pc_slots:
-                            if vec[slot] != none_id:
-                                alive = True
-                                break
-                        if alive:
-                            violations.append(
-                                Violation("deadlock", "no-enabled-step",
-                                          trace_to(index)))
-                            if stop_at_first:
-                                stop = True
-                    if stop:
-                        break
-                    continue
-                prec = recs[pidx] if pidx >= 0 else None
-                wm = wmask_of[index]
-                rec = [None] * nprocs
-                if prof is not None:
-                    t0 = perf()
-                expansion = None  # set by a successful ample probe
-                if scan_ample:
-                    # The interpreted ample scan: first process in order
-                    # whose current step is ample *and* expands non-empty
-                    # is expanded alone.  Probes cache into rec.
-                    for i in proc_range:
-                        r = None
-                        if prec is not None:
-                            pe = prec[i]
-                            if pe is not None and not (wm & pe[0]):
-                                r = pe
-                        if r is None:
-                            pc_id = vec[pc_slots[i]]
-                            if pc_id == none_id:
-                                rec[i] = term_results[i]
-                                continue
-                            entry = dispatch[i].get(pc_id)
-                            if entry is None:
-                                rec[i] = term_results[i]
-                                continue
-                            if not entry.is_ample:
-                                continue
-                            memo = entry.memo
-                            if memo is None:
-                                r = entry.fill(vec)
-                            else:
-                                getter = entry.getter
-                                key = getter(vec) if getter is not None else None
-                                r = memo.get(key)
-                                if r is None:
-                                    if prof is not None:
-                                        tf = perf()
-                                        phase_s["successor_gen"] += tf - t0
-                                        phase_calls["successor_gen"] += 1
-                                        r = entry.fill(vec)
-                                        t0 = perf()
-                                        phase_s["compile"] += t0 - tf
-                                        phase_calls["compile"] += 1
-                                    else:
-                                        r = entry.fill(vec)
-                        rec[i] = r
-                        if prof is not None and r[_AMPLE] \
-                                and r[_LABEL] is not None:
-                            # The interpreted scan expands (and counts)
-                            # every ample process it reaches.
-                            lentry = prof_labels.get(r[_LABEL])
-                            if lentry is None:
-                                lentry = prof_labels[r[_LABEL]] = [0, 0, 0.0]
-                            lentry[0] += 1
-                            lentry[1] += len(r[_SUCCS])
-                        if r[_AMPLE] and r[_SUCCS]:
-                            expansion = (r,)
-                            break
-                if expansion is None:
-                    for i in proc_range:
-                        if rec[i] is None:
-                            if prec is not None:
-                                pe = prec[i]
-                                if pe is not None and not (wm & pe[0]):
-                                    rec[i] = pe
-                                    delta_reuses += 1
-                                    continue
-                            pc_id = vec[pc_slots[i]]
-                            entry = dispatch[i].get(pc_id)
-                            if entry is None:
-                                rec[i] = term_results[i]
-                                continue
-                            probes += 1
-                            memo = entry.memo
-                            if memo is None:
-                                r = entry.fill(vec)
-                            else:
-                                getter = entry.getter
-                                key = getter(vec) if getter is not None else None
-                                r = memo.get(key)
-                                if r is None:
-                                    if prof is not None:
-                                        tf = perf()
-                                        phase_s["successor_gen"] += tf - t0
-                                        phase_calls["successor_gen"] += 1
-                                        r = entry.fill(vec)
-                                        t0 = perf()
-                                        phase_s["compile"] += t0 - tf
-                                        phase_calls["compile"] += 1
-                                    else:
-                                        r = entry.fill(vec)
-                            rec[i] = r
-                    # After the full loop every slot of ``rec`` is set (a
-                    # terminated process contributes its constant empty
-                    # result), so the record doubles as the expansion.
-                    expansion = rec
-                    if prof is not None:
-                        # The interpreted full loop expands (and counts)
-                        # every live process, including ample ones the scan
-                        # already counted.
-                        for r in expansion:
-                            if r[_LABEL] is not None:
-                                lentry = prof_labels.get(r[_LABEL])
-                                if lentry is None:
-                                    lentry = prof_labels[r[_LABEL]] = [0, 0, 0.0]
-                                lentry[0] += 1
-                                lentry[1] += len(r[_SUCCS])
-                recs[index] = rec
-                if prof is not None:
-                    t1 = perf()
-                    phase_s["successor_gen"] += t1 - t0
-                    phase_calls["successor_gen"] += 1
-                    t0 = t1
-                out_edges = edges[index] = []
-                had_successor = False
-                for r in expansion:
-                    succs = r[_SUCCS]
-                    if not succs:
+    @contextlib.contextmanager
+    def exploring(self):
+        # Exploration allocates monotonically (states are never freed),
+        # so cyclic-GC passes over the growing heap are pure overhead —
+        # pause collection for the duration, like TLC's generation-free
+        # workers.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            yield
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+
+    def root(self) -> Optional[str]:
+        init = self.cs.spec.initial_state()
+        if self.canonical is not None:
+            init = self.canonical(init)
+        vec = self.cs.to_vector(init)
+        self.seen[vec] = 0
+        self.vecs.append(vec)
+        self.wmask_of.append(self.cs.all_mask)
+        self.recs.append([None] * len(self.cs.spec.processes))
+        if self.prof is not None:
+            self.prof.mark()
+        failed = self._check_invariants(vec)
+        if self.prof is not None:
+            self.prof.lap("property_eval")
+        return failed
+
+    def _check_invariants(self, vec: tuple) -> Optional[str]:
+        failed = None
+        for prop in self.cs.invariant_entries:
+            if not prop.value(vec):
+                failed = prop.name
+                break
+        self.inv_ok.append(failed is None)
+        union = 0
+        for prop in self.cs.invariant_entries:
+            union |= prop.rmask
+        self.inv_union_rmask = union
+        return failed
+
+    def _expand_record(self, vec: tuple, prec: list, wm: int):
+        """The readable expansion: ``(record, results to materialize)``.
+
+        ``prec`` is the parent's record and ``wm`` the write mask of the
+        transition that produced ``vec``: a process whose parent result
+        reads nothing that transition wrote keeps that result (delta
+        reuse) without a table lookup.
+        """
+        cs = self.cs
+        dispatch = cs.dispatch
+        term_results = cs.term_results
+        pc_slots = cs.pc_slots
+        prof = self.prof
+        labels = prof.labels if prof is not None else None
+        rec = [None] * len(prec)
+        if self.scan_ample:
+            # The interpreted ample scan: first process in order whose
+            # current step is ample *and* expands non-empty is expanded
+            # alone.  Probes cache into rec.
+            for i, r in enumerate(prec):
+                if r is None or wm & r[_RMASK]:
+                    entry = dispatch[i].get(vec[pc_slots[i]])
+                    if entry is None:
+                        rec[i] = term_results[i]
                         continue
-                    had_successor = True
-                    action = r[_ACTION]
-                    for writes, wm2 in succs:
-                        transitions += 1
-                        child = list(vec)
-                        for slot, vid in writes:
-                            child[slot] = vid
-                        tvec = tuple(child)
-                        if use_symmetry:
-                            cidx = raw_memo.get(tvec)
-                            if cidx is not None:
-                                out_edges.append(cidx)
-                                continue
-                            canon_state = checker._canonical(cs.to_state(tvec))
-                            cvec = cs.to_vector(canon_state)
-                            if cvec != tvec:
-                                wm2 = all_mask
-                            new_index = nvecs
-                            existing = seen.setdefault(cvec, new_index)
-                            if existing != new_index:
-                                raw_memo[tvec] = existing
-                                out_edges.append(existing)
-                                continue
-                            raw_memo[tvec] = new_index
-                            tvec = cvec
-                        else:
-                            new_index = nvecs
-                            existing = seen.setdefault(tvec, new_index)
-                            if existing != new_index:
-                                out_edges.append(existing)
-                                continue
-                        nvecs = new_index + 1
-                        vecs.append(tvec)
-                        parent.append((index, action))
-                        new_depth = depth[index] + 1
-                        depth.append(new_depth)
-                        wmask_of.append(wm2)
-                        recs.append(None)
-                        if new_depth > diameter:
-                            diameter = new_depth
-                        out_edges.append(new_index)
-                        if prof is not None:
-                            t1 = perf()
-                            phase_s["dedup"] += t1 - t0
-                            phase_calls["dedup"] += 1
-                            t0 = t1
-                        # Invariant delta skip: the parent passed and no
-                        # property-read slot was written.
-                        if (inv_ok[index] and not (wm2 & inv_union_rmask)):
-                            inv_ok.append(True)
-                            inv_passed = True
-                        else:
-                            inv_passed = check_invariants(new_index)
-                            new_union = 0
-                            for prop in inv_entries:
-                                new_union |= prop.rmask
-                            inv_union_rmask = new_union
-                        if prof is not None:
-                            t1 = perf()
-                            phase_s["property_eval"] += t1 - t0
-                            phase_calls["property_eval"] += 1
-                            t0 = t1
-                        if not inv_passed and stop_at_first:
-                            stop = True
-                            break
-                        next_frontier.append(new_index)
-                        if nvecs > max_states:
-                            raise MemoryError(
-                                f"state space exceeds {max_states} states")
-                    if stop:
-                        break
-                if not stop and check_deadlock and not had_successor:
-                    alive = False
-                    for slot in live_pc_slots:
-                        if vec[slot] != none_id:
-                            alive = True
-                            break
-                    if alive:
-                        violations.append(
-                            Violation("deadlock", "no-enabled-step",
-                                      trace_to(index)))
-                        if stop_at_first:
-                            stop = True
-                if stop:
-                    break
-            prev_len = len(frontier)
-            frontier = next_frontier
-            bfs_round += 1
-            if tracer is not None:
-                now = perf() - start_time
-                tracer.round_span("compiled", bfs_round - 1,
-                                  round_t0 - start_time, now,
-                                  frontier=prev_len)
-                tracer.counter("frontier depth", now,
-                               {"states": len(frontier)})
-                if transitions:
-                    tracer.counter("dedup", now, {
-                        "hit_rate": round(1 - nvecs / transitions, 4)})
-            if checker.progress is not None:
-                checker._progress_round(bfs_round, nvecs, len(frontier),
-                                        prev_len, transitions, start_time)
+                    if not entry.is_ample:
+                        continue
+                    r = _probe(entry, vec, prof)
+                rec[i] = r
+                if r[_AMPLE]:
+                    if labels is not None and r[_LABEL] is not None:
+                        # The interpreted scan expands (and counts)
+                        # every ample process it reaches.
+                        _count_label(labels, r)
+                    if r[_SUCCS]:
+                        return rec, (r,)
+        for i, r in enumerate(prec):
+            if rec[i] is not None:
+                continue
+            if r is not None and not (wm & r[_RMASK]):
+                self.delta_reuses += 1
+            else:
+                entry = dispatch[i].get(vec[pc_slots[i]])
+                if entry is None:
+                    rec[i] = term_results[i]
+                    continue
+                self.probes += 1
+                r = _probe(entry, vec, prof)
+            rec[i] = r
+        # After the full loop every slot of ``rec`` is set (a terminated
+        # process contributes its constant empty result), so the record
+        # doubles as the expansion.
+        if labels is not None:
+            # The interpreted full loop expands (and counts) every live
+            # process, including ample ones the scan already counted.
+            for r in rec:
+                if r[_LABEL] is not None:
+                    _count_label(labels, r)
+        return rec, rec
 
-        explore_end = perf()
-        if not stop and spec.eventually_always:
-            live_t0 = perf()
-            violations.extend(
-                _check_liveness_compiled(checker, cs, vecs, edges, depth,
-                                         trace_to))
+    @property
+    def expand(self):
+        """The expansion generator, closed over this engine's lists.
+
+        It runs once per state on the recommended engine's hot path, so
+        what it touches is bound once, when the driver fetches it,
+        rather than re-read from ``self`` on every call.  A property
+        and not an attribute: storing the closure on ``self`` would tie
+        the engine — and every vector it holds — into a reference cycle
+        that only a full GC pass frees.
+        """
+        cs, prof = self.cs, self.prof
+        vecs, seen, raw_memo = self.vecs, self.seen, self.raw_memo
+        wmask_of, recs, inv_ok = self.wmask_of, self.recs, self.inv_ok
+        canonical, all_mask = self.canonical, cs.all_mask
+        fast_expand, expand_record = self.fast_expand, self._expand_record
+        check_invariants = self._check_invariants
+
+        def expand(index: int, out: list):
+            vec = vecs[index]
+            if fast_expand is not None:
+                rec, delta, probes = fast_expand(
+                    vec, recs[index], wmask_of[index])
+                self.delta_reuses += delta
+                self.probes += probes
+                expansion = rec
+            else:
+                rec, expansion = expand_record(
+                    vec, recs[index], wmask_of[index])
+            recs[index] = rec
             if prof is not None:
-                prof.add("liveness", perf() - live_t0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+                prof.lap("successor_gen")
+            parent_inv_ok = inv_ok[index]
+            new_index = len(vecs)
+            for r in expansion:
+                succs = r[_SUCCS]
+                if not succs:
+                    continue
+                action = r[_ACTION]
+                for writes, wm2 in succs:
+                    child = list(vec)
+                    for slot, vid in writes:
+                        child[slot] = vid
+                    tvec = tuple(child)
+                    if canonical is None:
+                        existing = seen.setdefault(tvec, new_index)
+                    else:
+                        existing = raw_memo.get(tvec)
+                        if existing is None:
+                            raw = tvec
+                            tvec = cs.to_vector(canonical(cs.to_state(raw)))
+                            if tvec != raw:
+                                wm2 = all_mask
+                            existing = raw_memo[raw] = seen.setdefault(
+                                tvec, new_index)
+                    out.append(existing)
+                    if existing != new_index:
+                        continue
+                    vecs.append(tvec)
+                    wmask_of.append(wm2)
+                    recs.append(rec)
+                    if prof is not None:
+                        prof.lap("dedup")
+                    # Invariant delta skip: the parent passed and no
+                    # property-read slot was written.
+                    if parent_inv_ok and not (wm2 & self.inv_union_rmask):
+                        inv_ok.append(True)
+                        failed = None
+                    else:
+                        failed = check_invariants(tvec)
+                    if prof is not None:
+                        prof.lap("property_eval")
+                    yield action, new_index, failed
+                    new_index += 1
 
-    elapsed = time.perf_counter() - start_time
-    stats = {"engine": "compiled", "compiled": cs.coverage()}
-    stats["compiled"]["delta_reuses"] = delta_reuses
-    stats["compiled"]["probes"] = probes
-    checker._record_auto_choice(stats)
-    if prof is not None:
-        exploration_s = explore_end - explore_t0
-        prof.busy_s = exploration_s
-        stats["profile"] = checker._profile_artifact(
-            prof, engine="compiled", total_s=elapsed,
-            exploration_s=exploration_s,
-            counts={"states": len(vecs), "transitions": transitions,
-                    "diameter": diameter})
-    if tracer is not None:
-        tracer.write(checker.trace_out)
-    if checker.progress is not None:
-        checker.progress.done(states=len(vecs), transitions=transitions,
-                              diameter=diameter,
-                              elapsed_s=round(elapsed, 2))
-    result = CheckResult(not violations, len(vecs), transitions,
-                         diameter, elapsed, violations, stats=stats)
-    if checker.registry is not None:
-        checker._report_metrics(result)
-    return result
+        return expand
 
+    def alive(self, index: int) -> bool:
+        vec = self.vecs[index]
+        none_id = self.cs.none_id
+        return any(vec[slot] != none_id for slot in self.cs.live_pc_slots)
 
-def _tarjan_flat(n: int, edges: dict) -> list[list[int]]:
-    """Iterative Tarjan over 0..n-1, tuned for the compiled engine.
+    def state(self, index: int) -> State:
+        return self.cs.to_state(self.vecs[index])
 
-    Computes the same SCC partition as ``checker._tarjan`` (partition
-    identity is all the liveness pass consumes — the witness is the
-    order-independent minimal (depth, fingerprint)), but keeps the DFS
-    work stack in parallel lists instead of repacked tuples and skips
-    the per-edge ``edges.get``.
-    """
-    index = [-1] * n
-    low = [0] * n
-    on_stack = bytearray(n)
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-    empty: tuple = ()
-    wnode: list[int] = []
-    wpos: list[int] = []
-    wout: list = []
-    edges_get = edges.get
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        wnode.append(root)
-        wpos.append(0)
-        wout.append(edges_get(root, empty))
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = 1
-        while wnode:
-            node = wnode[-1]
-            out = wout[-1]
-            pos = wpos[-1]
-            nout = len(out)
-            advanced = False
-            lown = low[node]
-            while pos < nout:
-                succ = out[pos]
-                pos += 1
-                si = index[succ]
-                if si == -1:
-                    wpos[-1] = pos
-                    low[node] = lown
-                    wnode.append(succ)
-                    wpos.append(0)
-                    wout.append(edges_get(succ, empty))
-                    index[succ] = low[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack[succ] = 1
-                    advanced = True
-                    break
-                if on_stack[succ] and si < lown:
-                    lown = si
-            if advanced:
-                continue
-            low[node] = lown
-            wnode.pop()
-            wpos.pop()
-            wout.pop()
-            if wnode:
-                p = wnode[-1]
-                if lown < low[p]:
-                    low[p] = lown
-            if lown == index[node]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    component.append(w)
-                    if w == node:
-                        break
-                sccs.append(component)
-    return sccs
+    def eventually(self, name: str):
+        value = next(prop.value for prop in self.cs.liveness_entries
+                     if prop.name == name)
+        vecs = self.vecs
+        return lambda index: value(vecs[index])
+
+    def stats(self) -> dict:
+        compiled = self.cs.coverage()
+        compiled["delta_reuses"] = self.delta_reuses
+        compiled["probes"] = self.probes
+        return {"engine": "compiled", "compiled": compiled}
 
 
-def _check_liveness_compiled(checker, cs: CompiledSpec, vecs, edges, depth,
-                             trace_to) -> list[Violation]:
-    """◇□ over vectors: same terminal-SCC pass, same canonical witness
-    (minimal (BFS depth, state fingerprint)) as the interpreted engine,
-    with predicate evaluation memoized per property."""
-    sccs = _tarjan_flat(len(vecs), edges)
-    scc_of = [0] * len(vecs)
-    for scc_id, members in enumerate(sccs):
-        for node in members:
-            scc_of[node] = scc_id
-    terminal = [True] * len(sccs)
-    for node, outs in edges.items():
-        own = scc_of[node]
-        for out in outs:
-            if scc_of[out] != own:
-                terminal[own] = False
-    violations = []
-    for prop in cs.liveness_entries:
-        value = prop.value
-        best = None  # ((depth, fingerprint), node)
-        for scc_id, members in enumerate(sccs):
-            if not terminal[scc_id]:
-                continue
-            for node in members:
-                if not value(vecs[node]):
-                    key = (depth[node],
-                           fingerprint_state(cs.to_state(vecs[node])))
-                    if best is None or key < best[0]:
-                        best = (key, node)
-        if best is not None:
-            violations.append(
-                Violation("liveness", prop.name, trace_to(best[1])))
-    return violations
+def _count_label(labels: dict, result) -> None:
+    """Profile one label expansion the interpreted engine would make."""
+    entry = labels.get(result[_LABEL])
+    if entry is None:
+        entry = labels[result[_LABEL]] = [0, 0, 0.0]
+    entry[0] += 1
+    entry[1] += len(result[_SUCCS])
 
 
 # -- NADIR codegen tier -------------------------------------------------------

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..obs.prof import CheckerTraceBuilder
-from .checker import CheckResult, ModelChecker, Violation
+from .checker import CheckResult, ModelChecker, Violation, _tarjan_flat
 from .fingerprint import (
     SHARDS,
     FingerprintStore,
@@ -193,9 +193,8 @@ def _worker_main(conn, worker_id: int, nworkers: int, source: SpecSource,
                         t1 = perf()
                         phase_s["property_eval"] += t1 - t0
                         phase_calls["property_eval"] += 1
-                        # _successors dispatches to the profiled variant
-                        # (por_ample + per-label successor_gen) because
-                        # checker.profiler is set.
+                        # _successors charges por_ample and per-label
+                        # successor_gen itself: checker.profiler is set.
                     successors = checker._successors(state)
                     if (options["check_deadlock"] and not successors
                             and any(pc is not None and not process.daemon
@@ -411,14 +410,12 @@ def _check_liveness_parallel(checker: ModelChecker, breadcrumbs: dict,
     fingerprint) failing state in a terminal SCC) as the serial
     checker, so both engines report identical liveness traces.
     """
-    from .checker import _tarjan
-
     nodes = sorted(breadcrumbs, key=lambda fp: (depth_of[fp], fp))
     index_of = {fp: i for i, fp in enumerate(nodes)}
     adjacency: dict[int, list[int]] = {}
     for src_fp, dst_fp in edges:
         adjacency.setdefault(index_of[src_fp], []).append(index_of[dst_fp])
-    sccs = _tarjan(len(nodes), adjacency)
+    sccs = _tarjan_flat(len(nodes), adjacency)
     scc_of = {}
     for scc_id, members in enumerate(sccs):
         for node in members:

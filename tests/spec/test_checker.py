@@ -1,7 +1,17 @@
 """Unit tests for the spec language and model checker."""
 
-import pytest
+import gc
+import io
+import json
+import weakref
 
+import hypothesis.strategies as st
+import networkx
+import pytest
+from hypothesis import given
+
+from repro.obs import MetricsRegistry
+from repro.obs.prof import Progress
 from repro.spec import (
     ModelChecker,
     NULL,
@@ -12,6 +22,7 @@ from repro.spec import (
     fifo_get,
     fifo_put,
 )
+from repro.spec.checker import _tarjan_flat
 
 
 def counter_spec(limit=3, invariant_cap=None):
@@ -157,3 +168,98 @@ def test_trace_actions_name_process_and_label():
     actions = [action for action, _ in violation.trace]
     assert actions[0] == "<init>"
     assert actions[1] == "ticker.tick"
+
+
+ENGINES = [{}, {"fingerprint_mode": "incremental"}, {"compiled": True}]
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["interp", "incfp", "compiled"])
+def test_initial_state_violation_takes_the_common_exit_path(engine, tmp_path):
+    """A run that stops on its *initial* state is still a full run: the
+    trace file is written, progress is closed, the registry and the
+    ``workers="auto"`` choice are reported, and ``stats`` has the keys
+    of any other run of that engine."""
+    trace = tmp_path / "trace.json"
+    stream = io.StringIO()
+    registry = MetricsRegistry()
+    result = ModelChecker(
+        counter_spec(3, invariant_cap=-1), trace_out=str(trace),
+        progress=Progress(stream=stream), registry=registry,
+        workers="auto", **engine).run()
+    assert not result.ok
+    assert (result.distinct_states, result.transitions, result.diameter) \
+        == (1, 0, 0)
+    assert [(v.kind, v.property_name, v.length)
+            for v in result.violations] == [("invariant", "Cap", 1)]
+    assert "traceEvents" in json.loads(trace.read_text())
+    assert "states=1" in stream.getvalue()
+    assert registry.counter("checker0.states").value == 1
+    assert result.stats["workers_requested"] == "auto"
+    passing = ModelChecker(counter_spec(3), workers="auto", **engine).run()
+    assert set(result.stats) == set(passing.stats)
+    if "compiled" in result.stats:
+        assert set(result.stats["compiled"]) == set(passing.stats["compiled"])
+        assert {"probes", "delta_reuses"} <= set(result.stats["compiled"])
+
+
+@pytest.mark.parametrize("engine", ENGINES, ids=["interp", "incfp", "compiled"])
+def test_engine_is_freed_when_the_run_returns(engine, monkeypatch):
+    """The engine holds every stored state; it must die by refcount with
+    the run, not wait in a reference cycle for a full GC pass."""
+    engines = []
+    build = ModelChecker._engine
+
+    def capture(self):
+        built = build(self)
+        engines.append(weakref.ref(built))
+        return built
+
+    monkeypatch.setattr(ModelChecker, "_engine", capture)
+    gc.disable()
+    try:
+        assert ModelChecker(counter_spec(3), **engine).run().ok
+        assert engines[0]() is None
+    finally:
+        gc.enable()
+
+
+# -- the one Tarjan -------------------------------------------------------------
+def _partition(n, edges):
+    sccs = _tarjan_flat(n, edges)
+    assert sorted(node for scc in sccs for node in scc) == list(range(n))
+    return {frozenset(scc) for scc in sccs}
+
+
+def _reference_partition(n, edges):
+    graph = networkx.DiGraph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from((src, dst) for src, outs in edges.items()
+                         for dst in outs)
+    return {frozenset(scc)
+            for scc in networkx.strongly_connected_components(graph)}
+
+
+@st.composite
+def digraphs(draw):
+    """Adjacency dicts as the checker builds them: parallel edges and
+    self-loops allowed, and some nodes have no ``edges`` entry at all
+    (never expanded) rather than an empty one."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    node = st.integers(min_value=0, max_value=max(n - 1, 0))
+    edges = draw(st.dictionaries(node, st.lists(node, max_size=6))
+                 if n else st.just({}))
+    return n, edges
+
+
+@given(digraphs())
+def test_tarjan_matches_networkx_on_random_digraphs(graph):
+    n, edges = graph
+    assert _partition(n, edges) == _reference_partition(n, edges)
+
+
+def test_tarjan_one_big_cycle_deeper_than_the_recursion_limit():
+    n = 5000
+    edges = {node: [(node + 1) % n] for node in range(n)}
+    assert _partition(n, edges) == {frozenset(range(n))}
+    del edges[n - 1]  # a path: the last node has no entry, n singletons
+    assert _partition(n, edges) == {frozenset([node]) for node in range(n)}

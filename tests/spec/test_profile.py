@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from repro.obs.prof import PHASES, PROF_SCHEMA, dump_prof
+from repro.obs.prof import PHASES, PROF_SCHEMA, CheckProfiler, dump_prof
 from repro.obs.validate import validate_prof_artifact
 from repro.spec import ModelChecker
 from repro.spec.specs import SPEC_SOURCES
@@ -96,6 +96,18 @@ def test_profiled_serial_fp_byte_identical():
     assert doc["phases"]["fingerprint"]["calls"] > 0
 
 
+@pytest.mark.parametrize("name", SMALL)
+def test_profiled_compiled_byte_identical(name):
+    plain = _serial(name, compiled=True)
+    profiled = _serial(name, compiled=True, profile=True)
+    assert plain.to_json() == _plain_serial(name)
+    assert profiled.to_json() == _plain_serial(name)
+    doc = profiled.stats["profile"]
+    assert validate_prof_artifact(doc) == []
+    assert doc["engine"] == "compiled"
+    assert doc["phases"]["compile"]["calls"] > 0
+
+
 def test_coverage_and_hot_phases_on_controller():
     """The phase breakdown explains most of the exploration wall time."""
     doc = _serial("controller", profile=True).stats["profile"]
@@ -129,6 +141,84 @@ def test_double_run_determinism_of_non_timing_fields():
     assert _strip_timing(first) == _strip_timing(second)
     # Phase call counts cover the whole taxonomy.
     assert set(first["phases"]) == set(PHASES)
+
+
+def test_double_run_determinism_of_non_timing_fields_compiled():
+    first = _serial("controller", compiled=True, profile=True)
+    second = _serial("controller", compiled=True, profile=True)
+    assert (_strip_timing(first.stats["profile"])
+            == _strip_timing(second.stats["profile"]))
+    assert first.stats["compiled"] == second.stats["compiled"]
+    # The compiled engine attributes expansions to the same labels, the
+    # same number of times, as the interpreter it replaces.
+    interpreted = _serial("controller", profile=True).stats["profile"]
+    assert (_strip_timing(first.stats["profile"])["labels"]
+            == _strip_timing(interpreted)["labels"])
+
+
+#: The three configurations BENCHMARK.json measures, by workload name.
+BENCHED = {
+    "check-interp": {},
+    "check-incfp": {"fingerprint_mode": "incremental"},
+    "check-compiled": {"compiled": True},
+}
+#: Phases each benchmarked engine must report work in (calls > 0); the
+#: rest of the taxonomy must stay at zero for it.
+ACTIVE_PHASES = {
+    "check-interp": {"successor_gen", "por_ample", "canonicalize", "dedup",
+                     "property_eval", "liveness"},
+    "check-incfp": {"successor_gen", "por_ample", "canonicalize",
+                    "fingerprint", "dedup", "property_eval", "liveness"},
+    "check-compiled": {"successor_gen", "compile", "dedup", "property_eval",
+                       "liveness"},
+}
+
+
+@pytest.mark.parametrize("workload", BENCHED)
+def test_unprofiled_run_never_enters_the_profiler(workload, monkeypatch):
+    """``profile=False`` builds no :class:`CheckProfiler`, so the
+    disabled path costs ``is not None`` tests and nothing else — the
+    guarantee the retired bare-vs-instrumented timing gate estimated."""
+    def entered(*_args, **_kwargs):
+        raise AssertionError("profiler code ran in an unprofiled check")
+
+    for method in ("__init__", "mark", "lap", "lap_label", "add",
+                   "add_label", "artifact"):
+        monkeypatch.setattr(CheckProfiler, method, entered)
+    result = _serial("controller", **BENCHED[workload])
+    assert "profile" not in result.stats
+
+
+@pytest.mark.parametrize("workload", BENCHED)
+def test_stats_contract_the_benchmark_reads(workload):
+    """Exactly what ``bench/run.py::checker_layers`` dereferences from a
+    profiled ``stop_at_first_violation=False`` run of each benchmarked
+    configuration (``bench/`` is a fixed instrument: a key renamed here
+    would only fail there, outside tier-1)."""
+    stats = _serial("controller", profile=True, **BENCHED[workload]).stats
+    profile = stats["profile"]
+    assert isinstance(profile["coverage"], float) and profile["coverage"] > 0
+    for phase in ("successor_gen", "por_ample", "canonicalize", "fingerprint",
+                  "dedup", "property_eval", "liveness", "compile"):
+        entry = profile["phases"][phase]
+        assert isinstance(entry["wall_s"], float) and entry["wall_s"] >= 0
+        assert isinstance(entry["calls"], int)
+        assert (entry["calls"] > 0) == (phase in ACTIVE_PHASES[workload]), phase
+    if "fingerprint_mode" in BENCHED[workload]:
+        assert isinstance(stats["fp_slots_digested"], int)
+        assert stats["fp_slots_digested"] > 0
+    else:
+        assert "fp_slots_digested" not in stats
+    if BENCHED[workload].get("compiled"):
+        compiled = stats["compiled"]
+        for key in ("probes", "label_fills", "labels_codegen", "labels_memo",
+                    "labels_interp"):
+            assert isinstance(compiled[key], int), key
+        assert 0 < compiled["label_fills"] <= compiled["probes"]
+        assert (compiled["labels_codegen"] + compiled["labels_memo"]
+                + compiled["labels_interp"]) == compiled["labels"] > 0
+    else:
+        assert "compiled" not in stats
 
 
 def test_artifact_schema_roundtrip(tmp_path):
