@@ -639,11 +639,10 @@ def build_main_parser() -> argparse.ArgumentParser:
                              "trace-event JSON; .jsonl suffix for JSONL)")
     parser.add_argument("--metrics", action="store_true",
                         help="collect and print the metrics registry")
-    parser.add_argument("--workers", default=None, metavar="N",
-                        help="check: explore with N worker processes, or "
-                             "'auto' to pick serial vs parallel from the "
-                             "host's core count (default: in-process "
-                             "serial)")
+    parser.add_argument("--workers", type=int, default=None, metavar="N",
+                        help="check: shard the seen-set over N worker "
+                             "processes (capacity, not speed; default: "
+                             "in-process serial)")
     parser.add_argument("--exact", action="store_true",
                         help="check: keep canonical state bytes alongside "
                              "fingerprints and fail loudly on any 64-bit "
@@ -655,8 +654,7 @@ def build_main_parser() -> argparse.ArgumentParser:
     parser.add_argument("--compiled", action="store_true",
                         help="check: compiled-step engine — per-label "
                              "closures specialized over the flat slot "
-                             "vector (byte-identical canonical output; "
-                             "coverage reported in stats)")
+                             "vector (byte-identical canonical output)")
     parser.add_argument("--store-dir", metavar="DIR",
                         help="check: with --workers, spill fingerprint "
                              "shards to open-addressed mmap files under "
@@ -722,14 +720,6 @@ def _dispatch_main(argv) -> int:
             return 2
         from .spec import ModelChecker
 
-        workers = args.workers
-        if workers is not None and workers != "auto":
-            try:
-                workers = int(workers)
-            except ValueError:
-                print(f"--workers must be an integer or 'auto', "
-                      f"got {workers!r}", file=sys.stderr)
-                return 2
         registry = None
         if args.metrics:
             from .obs import MetricsRegistry
@@ -739,7 +729,7 @@ def _dispatch_main(argv) -> int:
         profile = bool(args.profile or args.profile_report)
         try:
             checker = ModelChecker(
-                source.build(), workers=workers, spec_source=source,
+                source.build(), workers=args.workers, spec_source=source,
                 exact_fingerprints=args.exact, registry=registry,
                 por_deps=args.por_deps,
                 fingerprint_mode="incremental" if args.incremental_fp
@@ -756,10 +746,6 @@ def _dispatch_main(argv) -> int:
         result = checker.run()
         print(result.summary())
         stats = dict(result.stats)
-        if stats.get("workers_requested") == "auto":
-            resolved = stats.get("workers")
-            print(f"workers=auto on {stats.get('host_cpus')} cpus -> "
-                  f"{'serial' if resolved is None else f'{resolved} workers'}")
         if stats.get("engine") == "parallel":
             print(f"engine=parallel workers={stats['workers']} "
                   f"spawn={stats['spawn_s']}s explore={stats['explore_s']}s "
@@ -767,14 +753,11 @@ def _dispatch_main(argv) -> int:
                   f"dedup_hits={stats['dedup_hits']}")
         elif stats.get("fingerprint_mode"):
             print(f"engine=serial fingerprint_mode={stats['fingerprint_mode']}")
-        coverage = stats.get("compiled")
-        if isinstance(coverage, dict):
-            print(f"engine=compiled "
-                  f"coverage={coverage['covered_fraction']:.3f} "
-                  f"(codegen={coverage['labels_codegen']} "
-                  f"memo={coverage['labels_memo']} "
-                  f"interp={coverage['labels_interp']} "
-                  f"of {coverage['labels']} labels)")
+        compiled = stats.get("compiled")
+        if isinstance(compiled, dict):
+            print(f"engine=compiled labels={compiled['labels']} "
+                  f"fills={compiled['label_fills']} "
+                  f"probes={compiled['probes']}")
         if stats.get("store_dir"):
             print(f"store_dir={stats['store_dir']} "
                   f"store_bytes={stats.get('store_bytes')} "

@@ -182,8 +182,8 @@ def _controller_with_unsound_hint():
 
 #: Static-analysis ablations: name → (spec factory, expected clean?).
 #: Each statically flagged variant is also dynamically refuted (or
-#: rejected) by the checker; `benchmarks/test_ablation.py` asserts the
-#: two verdicts agree.
+#: rejected) by the checker; `tests/experiments/test_ablation.py`
+#: asserts the two verdicts agree.
 _STATIC_VARIANTS = {
     "static: workerpool final": (
         lambda: __import__("repro.spec.specs",

@@ -6,8 +6,8 @@ with more processes.  For each swept spec the serial run and parallel
 runs at increasing worker counts must agree on distinct states,
 transitions, diameter and verdict; any divergence is a shape failure.
 Wall-clock speed deliberately stays out of the rows (campaign rows must
-be machine-independent) — throughput lives in ``BENCH_checker.json``
-via ``benchmarks/checker_scale.py``.
+be machine-independent) — the ``check-*`` workloads of ``bench/run.py``
+time the serial engines.
 """
 
 from __future__ import annotations

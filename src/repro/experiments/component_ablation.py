@@ -89,11 +89,10 @@ def _run_check(config: dict) -> dict:
         "violations": len(result.violations),
         "fp_slots": result.stats.get("fp_slots_digested"),
         "store_bytes": result.distinct_states * entry_bytes,
-        # Engine-identity counter: compiled labels in play (codegen +
-        # memo tiers).  Deterministic — a pure function of the spec —
-        # and zero under the interpreted engine.
-        "compiled_labels": (compiled.get("labels_codegen", 0)
-                           + compiled.get("labels_memo", 0)),
+        # Engine-identity counter: labels with a compiled memo table.
+        # Deterministic — a pure function of the spec — and zero under
+        # the interpreted engine.
+        "compiled_labels": compiled.get("labels_memo", 0),
     }
 
 

@@ -5,8 +5,11 @@ reported by Newcombe et al. [44]: S3 (804 PlusCal), DynamoDB (939
 TLA+), EBS (102 PlusCal), internal lock manager (223 PlusCal + 318
 TLA+); ZENITH is 1.8K PlusCal + 4.9K TLA+ without failover and 2.1K +
 6.5K with.  We count the lines of this repository's specification layer
-(the spec DSL programs, the checker-facing specs and the NADIR
-programs) and report them against the same reference numbers.
+(the spec DSL, the bundled specs and the NADIR programs and types) and
+report them against the same reference numbers.  The model checker that
+explores those specs is not specification — the paper's table counts
+PlusCal/TLA+, not TLC — so ``spec/checker.py`` and the engines beside
+it are left out.
 """
 
 from __future__ import annotations
@@ -95,8 +98,8 @@ class TableA1Result:
 def run(quick: bool = True, seed: int = 0) -> TableA1Result:
     """Count this repository's specification-layer lines."""
     result = TableA1Result(prior=dict(PRIOR_SYSTEMS))
-    spec_files = sorted(_spec_root().rglob("*.py"))
-    nadir_files = [p for p in sorted(_nadir_root().glob("*.py"))
-                   if p.name in ("programs.py", "types.py")]
-    result.ours = _count_lines(spec_files + nadir_files)
+    spec_root, nadir_root = _spec_root(), _nadir_root()
+    result.ours = _count_lines(
+        [spec_root / "lang.py", *sorted((spec_root / "specs").glob("*.py")),
+         nadir_root / "programs.py", nadir_root / "types.py"])
     return result

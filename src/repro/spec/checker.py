@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -40,30 +39,7 @@ from .fingerprint import IncrementalFingerprinter, fingerprint_state
 from .lang import Blocked, Ctx, NeedChoice, Spec, State
 
 __all__ = ["CheckResult", "Violation", "ModelChecker", "check",
-           "UnsoundPORHintError", "resolve_auto_workers",
-           "AUTO_WORKERS_MIN_CPUS", "AUTO_WORKERS"]
-
-#: ``workers="auto"``: below this core count the parallel engine is a
-#: slowdown (BENCH_checker.json records 0.21x on a 1-CPU host — the
-#: workers timeshare one core and pay spawn + routing on top), so auto
-#: picks the serial engine; at or above it, this many workers.
-AUTO_WORKERS_MIN_CPUS = 4
-AUTO_WORKERS = 4
-
-
-def resolve_auto_workers(cpus: Optional[int] = None,
-                         has_spec_source: bool = True) -> Optional[int]:
-    """The worker count ``workers="auto"`` resolves to (None = serial).
-
-    Serial on hosts below :data:`AUTO_WORKERS_MIN_CPUS` cores, or when
-    no ``spec_source`` was provided (worker processes cannot rebuild
-    the spec without one); :data:`AUTO_WORKERS` workers otherwise.
-    """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    if cpus < AUTO_WORKERS_MIN_CPUS or not has_spec_source:
-        return None
-    return AUTO_WORKERS
+           "UnsoundPORHintError"]
 
 
 class UnsoundPORHintError(Exception):
@@ -162,13 +138,15 @@ class ModelChecker:
 
     ``workers=None`` (the default) runs the single-process BFS below.
     ``workers=N`` for N >= 1 runs the TLC-style parallel engine of
-    :mod:`repro.spec.parallel`: spawned worker processes own fingerprint
-    shards and exchange discovered states in batches; it requires
-    ``spec_source`` (a picklable :class:`~repro.spec.parallel.SpecSource`)
-    so each worker can rebuild the spec, and accepts
-    ``exact_fingerprints=True`` to detect hash collisions on small
-    specs.  ``registry`` (a :class:`repro.obs.MetricsRegistry`) receives
-    frontier-depth / states-per-second / per-shard dedup gauges.
+    :mod:`repro.spec.parallel` — for state spaces whose seen-set does
+    not fit one process, not for speed: spawned worker processes own
+    fingerprint shards and exchange discovered states in batches; it
+    requires ``spec_source`` (a picklable
+    :class:`~repro.spec.parallel.SpecSource`) so each worker can rebuild
+    the spec, and accepts ``exact_fingerprints=True`` to detect hash
+    collisions on small specs.  ``registry`` (a
+    :class:`repro.obs.MetricsRegistry`) receives frontier-depth /
+    states-per-second / per-shard dedup gauges.
     """
 
     def __init__(self, spec: Spec, symmetry: bool = True, por: bool = True,
@@ -176,7 +154,7 @@ class ModelChecker:
                  stop_at_first_violation: bool = True,
                  check_deadlock: bool = True,
                  validate_por_hints: bool = True,
-                 workers=None,
+                 workers: Optional[int] = None,
                  spec_source=None,
                  exact_fingerprints: bool = False,
                  registry=None,
@@ -186,8 +164,7 @@ class ModelChecker:
                  progress=None,
                  trace_out: Optional[str] = None,
                  compiled: bool = False,
-                 store_dir: Optional[str] = None,
-                 uncompiled_labels=()):
+                 store_dir: Optional[str] = None):
         self.spec = spec
         self.use_symmetry = symmetry and spec.symmetry is not None
         self.use_por = por
@@ -195,17 +172,10 @@ class ModelChecker:
         self.stop_at_first = stop_at_first_violation
         self.check_deadlock = check_deadlock
         self.validate_por_hints = validate_por_hints
-        self.workers_requested = workers
-        self.auto_host_cpus: Optional[int] = None
-        if workers == "auto":
-            self.auto_host_cpus = os.cpu_count() or 1
-            workers = resolve_auto_workers(
-                self.auto_host_cpus, has_spec_source=spec_source is not None)
-        elif workers is not None and (not isinstance(workers, int)
-                                      or isinstance(workers, bool)
-                                      or workers < 1):
-            raise ValueError(
-                "workers must be >= 1, 'auto', or None for serial")
+        if workers is not None and (not isinstance(workers, int)
+                                    or isinstance(workers, bool)
+                                    or workers < 1):
+            raise ValueError("workers must be >= 1, or None for serial")
         self.workers = workers
         self.spec_source = spec_source
         self.exact_fingerprints = exact_fingerprints
@@ -234,9 +204,6 @@ class ModelChecker:
         #: with workers each worker swaps its ``_successors`` for a
         #: CompiledStepper.
         self.compiled = bool(compiled)
-        #: ``"process.label"`` names forced back to per-visit
-        #: interpretation inside the compiled engine (fallback lever).
-        self.uncompiled_labels = tuple(uncompiled_labels)
         if self.compiled and fingerprint_mode is not None:
             raise ValueError(
                 "compiled and fingerprint_mode are alternative serial "
@@ -346,8 +313,7 @@ class ModelChecker:
                 stepper = self._compiled_stepper = CompiledStepper(
                     self.spec, use_por=self.use_por,
                     ample_keys=(self._deps_ample()
-                                if self.use_por_deps else None),
-                    uncompiled_labels=self.uncompiled_labels)
+                                if self.use_por_deps else None))
             return stepper.successors(state)
         else:
             expand = self._expand_step
@@ -591,7 +557,6 @@ class ModelChecker:
 
         elapsed = perf() - start_time
         stats = engine.stats()
-        self._record_auto_choice(stats)
         if prof is not None:
             exploration_s = explore_end - explore_t0
             prof.busy_s = exploration_s
@@ -611,18 +576,6 @@ class ModelChecker:
         if self.registry is not None:
             self._report_metrics(result)
         return result
-
-    def _record_auto_choice(self, stats: dict) -> None:
-        """Record what ``workers="auto"`` resolved to (satellite of §3.7).
-
-        The choice is machine-dependent, so it lives in ``stats`` (which
-        :meth:`CheckResult.to_json` excludes) rather than the canonical
-        outcome.
-        """
-        if self.workers_requested == "auto":
-            stats["workers_requested"] = "auto"
-            stats["host_cpus"] = self.auto_host_cpus
-            stats["workers"] = self.workers
 
     def _report_metrics(self, result: CheckResult) -> None:
         registry = self.registry

@@ -16,15 +16,10 @@ module removes that tax from the hot path (ROADMAP open item 2):
 * **per-(process, label) compiled closures** — each label owns a
   transition table mapping the values of the slots the step *reads* to
   its full expansion: the ordered successor list as (slot, id) write
-  lists plus a write bitmask.  Tables are filled on demand by one of
-  two tiers: a **codegen** tier that translates the label's NADIR AST
-  (the same AST :mod:`repro.analysis.deps` walks) into a specialized
-  Python closure — guard test first, direct slot reads/writes, queue
-  macros inlined — or an **interp** tier that runs the original step
-  once under a read-recording ``Ctx``.  Labels the compiler cannot
-  cover (no NADIR block, unsupported statement, or an explicit
-  ``uncompiled_labels`` override) degrade to interpretation; the tier
-  of every label is recorded in ``CheckResult.stats["compiled"]``.
+  lists plus a write bitmask.  A table miss runs the original step once
+  under a read-recording ``Ctx`` and memoizes the result; that memo
+  table is the one way a label executes, and
+  ``CheckResult.stats["compiled"]`` counts the tables and their fills.
 * **self-validating read sets** — the memo key is the projection of the
   vector onto the label's *observed* read slots.  Reads are recorded
   per fill; discovering a new read slot grows the key and clears the
@@ -124,14 +119,14 @@ class _RecordingCtx(Ctx):
 
 
 class _LabelEntry:
-    """One (process, label) compiled closure: memo table + fill tier."""
+    """One (process, label) compiled closure: its memo table and fill."""
 
     __slots__ = ("cs", "proc_index", "process", "step", "label", "action",
                  "label_key", "default_next", "is_ample", "pc_bit", "rmask",
-                 "keyslots", "getter", "memo", "tier", "fills", "codegen_fn")
+                 "keyslots", "getter", "memo", "fills")
 
     def __init__(self, cs: "CompiledSpec", proc_index: int, process, step,
-                 is_ample: bool, tier: str):
+                 is_ample: bool):
         self.cs = cs
         self.proc_index = proc_index
         self.process = process
@@ -147,15 +142,12 @@ class _LabelEntry:
         self.rmask = self.pc_bit
         self.keyslots: list[int] = []
         self.getter = None
-        #: None = forced interpretation (no memoization at all).
-        self.memo: Optional[dict] = None if tier == "interp" else {}
-        self.tier = tier
+        self.memo: dict = {}
         self.fills = 0
-        self.codegen_fn = None
 
     # -- fill: run the step once, record reads, intern the writes -----------
     def fill(self, vec: tuple):
-        """Execute the label on ``vec`` and (unless forced-interp) memoize.
+        """Execute the label on ``vec`` and memoize the expansion.
 
         Replicates ``ModelChecker._expand_step`` exactly: a LIFO stack
         of choice oracles, one fresh ``Ctx`` per path, successors in
@@ -167,68 +159,57 @@ class _LabelEntry:
         state = cs.to_state(vec)
         reads: set[int] = set()
         succs = []
-        if self.codegen_fn is not None:
-            blocked = self.codegen_fn(cs, vec, state, succs)
-            reads.update(self.keyslots)
-            if blocked:
-                succs = []
-        else:
-            proc_index = self.proc_index
-            pc_slot = cs.pc_slots[proc_index]
-            step_run = self.step.run
-            default_next = self.default_next
-            slot_kind = cs.slot_kind
-            intern = cs.intern
-            stack: list[list[int]] = [[]]
-            while stack:
-                oracle = stack.pop()
-                ctx = _RecordingCtx(cs, state, proc_index, oracle, reads)
-                try:
-                    step_run(ctx)
-                except Blocked:
-                    continue
-                except NeedChoice as need:
-                    for i in range(need.arity):
-                        stack.append(oracle + [i])
-                    continue
-                # Writes are the *assigned* slots (plus the pc), not the
-                # value diff against the fill state: an assignment that
-                # happened to be a no-op here can still change the value
-                # on another state matching the same memo key.  A pair
-                # whose value equals the target's current one applies as
-                # a no-op, so assigned ⊇ changed keeps replay exact and
-                # the write mask a sound over-approximation.  Values are
-                # pulled straight out of the finished ctx via slot_kind —
-                # no successor State or full-vector interning.
-                next_pc = ctx._next_pc if ctx._jumped else default_next
-                ctx_globals = ctx._globals
-                ctx_locals = ctx._locals
-                ctx_procs = ctx._procs
-                wslots = ctx._written
-                wslots.add(pc_slot)
-                writes = []
-                wmask = 0
-                for s in sorted(wslots):
-                    wmask |= 1 << s
-                    kind = slot_kind[s]
-                    if kind is None:
-                        value = ctx_globals[s]
+        proc_index = self.proc_index
+        pc_slot = cs.pc_slots[proc_index]
+        step_run = self.step.run
+        default_next = self.default_next
+        slot_kind = cs.slot_kind
+        intern = cs.intern
+        stack: list[list[int]] = [[]]
+        while stack:
+            oracle = stack.pop()
+            ctx = _RecordingCtx(cs, state, proc_index, oracle, reads)
+            try:
+                step_run(ctx)
+            except Blocked:
+                continue
+            except NeedChoice as need:
+                for i in range(need.arity):
+                    stack.append(oracle + [i])
+                continue
+            # Writes are the *assigned* slots (plus the pc), not the
+            # value diff against the fill state: an assignment that
+            # happened to be a no-op here can still change the value
+            # on another state matching the same memo key.  A pair
+            # whose value equals the target's current one applies as
+            # a no-op, so assigned ⊇ changed keeps replay exact and
+            # the write mask a sound over-approximation.  Values are
+            # pulled straight out of the finished ctx via slot_kind —
+            # no successor State or full-vector interning.
+            next_pc = ctx._next_pc if ctx._jumped else default_next
+            ctx_globals = ctx._globals
+            ctx_locals = ctx._locals
+            ctx_procs = ctx._procs
+            wslots = ctx._written
+            wslots.add(pc_slot)
+            writes = []
+            wmask = 0
+            for s in sorted(wslots):
+                wmask |= 1 << s
+                kind = slot_kind[s]
+                if kind is None:
+                    value = ctx_globals[s]
+                else:
+                    j, k = kind
+                    if k < 0:
+                        value = next_pc if j == proc_index \
+                            else ctx_procs[j][0]
+                    elif j == proc_index:
+                        value = ctx_locals[k]
                     else:
-                        j, k = kind
-                        if k < 0:
-                            value = next_pc if j == proc_index \
-                                else ctx_procs[j][0]
-                        elif j == proc_index:
-                            value = ctx_locals[k]
-                        else:
-                            value = ctx_procs[j][1][k]
-                    writes.append((s, intern(value)))
-                succs.append((tuple(writes), wmask))
-        if self.memo is None:
-            # Forced interpretation: every visit re-executes, nothing is
-            # cached, and the all-slots read mask disables delta reuse.
-            return (cs.all_mask, self.action, tuple(succs), self.is_ample,
-                    self.label_key)
+                        value = ctx_procs[j][1][k]
+                writes.append((s, intern(value)))
+            succs.append((tuple(writes), wmask))
         new_slots = reads.difference(self.keyslots)
         if new_slots:
             # A previously unseen read slot: grow the key and drop the
@@ -331,13 +312,10 @@ class CompiledSpec:
 
     ``ample_keys`` (a frozenset of (process name, label) pairs) replaces
     the ``Step.local`` hint as the ample-set oracle when given — the
-    deps-POR configuration.  ``uncompiled_labels`` forces the named
-    ``"process.label"`` steps back to per-visit interpretation (the
-    honest fallback path, and the lever the forced-fallback tests use).
+    deps-POR configuration.
     """
 
-    def __init__(self, spec: Spec, ample_keys=None,
-                 uncompiled_labels=()):
+    def __init__(self, spec: Spec, ample_keys=None):
         self.spec = spec
         nglobals = len(spec.global_names)
         self.global_slot = {name: i for i, name in enumerate(spec.global_names)}
@@ -356,14 +334,6 @@ class CompiledSpec:
         self._values: list = []
         self.none_id = self.intern(None)
         self.keyslot_growths = 0
-        uncompiled = frozenset(uncompiled_labels)
-        known = {f"{process.name}.{step.label}"
-                 for process in spec.processes for step in process.steps}
-        unknown = uncompiled - known
-        if unknown:
-            raise ValueError(
-                f"uncompiled_labels name no step: {sorted(unknown)}; "
-                "expected 'process.label' pairs from this spec")
         #: Per-process dispatch: interned pc id → label entry.
         self.dispatch: list[dict] = []
         self.entries: list[_LabelEntry] = []
@@ -375,12 +345,7 @@ class CompiledSpec:
                     is_ample = step.local
                 else:
                     is_ample = (process.name, step.label) in ample_keys
-                name = f"{process.name}.{step.label}"
-                tier = "interp" if name in uncompiled else "memo"
-                entry = _LabelEntry(self, proc_index, process, step,
-                                    is_ample, tier)
-                if tier != "interp":
-                    _attach_codegen(self, entry)
+                entry = _LabelEntry(self, proc_index, process, step, is_ample)
                 table[self.intern(step.label)] = entry
                 self.entries.append(entry)
                 self.any_ample = self.any_ample or is_ample
@@ -451,18 +416,15 @@ class CompiledSpec:
 
     # -- coverage ------------------------------------------------------------
     def coverage(self) -> dict:
-        """Per-tier label counts + memo health for ``stats["compiled"]``."""
-        tiers = {"codegen": 0, "memo": 0, "interp": 0}
-        for entry in self.entries:
-            tiers[entry.tier] += 1
-        total = len(self.entries)
+        """Label count + memo health for ``stats["compiled"]``.
+
+        Every label has a memo table, so ``labels_memo == labels``; both
+        keys stay because the benchmark and the component ablation read
+        ``labels_memo``.
+        """
         return {
-            "labels": total,
-            "labels_codegen": tiers["codegen"],
-            "labels_memo": tiers["memo"],
-            "labels_interp": tiers["interp"],
-            "covered_fraction": round(
-                (tiers["codegen"] + tiers["memo"]) / total, 4) if total else 0.0,
+            "labels": len(self.entries),
+            "labels_memo": len(self.entries),
             "label_fills": sum(entry.fills for entry in self.entries),
             "property_fills": sum(
                 prop.fills for prop in
@@ -484,10 +446,8 @@ class CompiledStepper:
     (that lives in :class:`CompiledEngine`).
     """
 
-    def __init__(self, spec: Spec, use_por: bool = True, ample_keys=None,
-                 uncompiled_labels=()):
-        self.cs = CompiledSpec(spec, ample_keys=ample_keys,
-                               uncompiled_labels=uncompiled_labels)
+    def __init__(self, spec: Spec, use_por: bool = True, ample_keys=None):
+        self.cs = CompiledSpec(spec, ample_keys=ample_keys)
         self.use_por = use_por
 
     def expand_label(self, state: State, proc_index: int):
@@ -539,11 +499,8 @@ class CompiledStepper:
 
 def _probe(entry: _LabelEntry, vec: tuple, prof=None):
     """One label's result for ``vec``: memo hit, or a (timed) fill."""
-    memo = entry.memo
-    if memo is None:
-        return entry.fill(vec)
     getter = entry.getter
-    result = memo.get(getter(vec) if getter is not None else None)
+    result = entry.memo.get(getter(vec) if getter is not None else None)
     if result is None:
         if prof is not None:
             prof.lap("successor_gen")
@@ -582,15 +539,11 @@ def _build_fast_expand(cs: CompiledSpec):
             f"                r{i} = t{i}",
             "            else:",
             "                probes += 1",
-            "                m = e.memo",
-            "                if m is None:",
-            f"                    r{i} = e.fill(vec)",
-            "                else:",
-            "                    g = e.getter",
-            f"                    r{i} = m.get(g(vec)"
+            "                g = e.getter",
+            f"                r{i} = e.memo.get(g(vec)"
             " if g is not None else None)",
-            f"                    if r{i} is None:",
-            f"                        r{i} = e.fill(vec)",
+            f"                if r{i} is None:",
+            f"                    r{i} = e.fill(vec)",
             "        else:",
             "            delta += 1",
         ])
@@ -622,8 +575,7 @@ class CompiledEngine:
             prof.mark()
         self.cs = cs = CompiledSpec(
             checker.spec,
-            ample_keys=checker._deps_ample() if checker.use_por_deps else None,
-            uncompiled_labels=checker.uncompiled_labels)
+            ample_keys=checker._deps_ample() if checker.use_por_deps else None)
         if prof is not None:
             prof.lap("compile")
         self.canonical = checker._canonical if checker.use_symmetry else None
@@ -853,36 +805,3 @@ def _count_label(labels: dict, result) -> None:
         entry = labels[result[_LABEL]] = [0, 0, 0.0]
     entry[0] += 1
     entry[1] += len(result[_SUCCS])
-
-
-# -- NADIR codegen tier -------------------------------------------------------
-def _attach_codegen(cs: CompiledSpec, entry: _LabelEntry) -> None:
-    """Attach a generated closure when the spec carries a NADIR AST.
-
-    The closure becomes the entry's *fill* executor: guard first, direct
-    slot reads/writes, queue macros inlined — and its read set is the
-    statically complete AST footprint, so the memo key never has to
-    grow.  Labels without a block (or with statements outside the
-    supported vocabulary) keep the interpreted fill; that *is* the
-    fallback path the coverage stats report.
-    """
-    program = getattr(cs.spec, "nadir_program", None)
-    if program is None:
-        return
-    try:
-        from .compile_nadir import compile_label
-    except ImportError:  # pragma: no cover - optional tier
-        return
-    compiled = compile_label(cs, entry, program)
-    if compiled is None:
-        return
-    fn, read_slots = compiled
-    entry.codegen_fn = fn
-    entry.tier = "codegen"
-    entry.keyslots = sorted(read_slots)
-    if entry.keyslots:
-        entry.getter = (itemgetter(*entry.keyslots)
-                        if len(entry.keyslots) > 1
-                        else itemgetter(entry.keyslots[0]))
-    for slot in entry.keyslots:
-        entry.rmask |= 1 << slot

@@ -27,8 +27,7 @@ collide; by the birthday bound the probability of *any* collision is at
 most ``n * (n - 1) / 2**65``.  At the scale this checker reaches in
 Python — 10**7 states — that is under ``3e-6`` per run; at TLC-like
 10**9 states it would be ~3%, which is why exact mode exists as a
-fallback for small specs and why the bound is recorded in
-``BENCH_checker.json`` artifacts.
+fallback for small specs.
 
 Equality faithfulness requires the same value identifications Python's
 ``==`` makes inside states: ``True == 1``, ``1 == 1.0``.  Numbers are

@@ -1,9 +1,13 @@
 """TLC-style parallel state-space exploration.
 
 The serial checker's seen-set holds full states in one process, which
-caps both memory and throughput.  This engine replaces it with the
-classic TLC worker architecture, adapted to spawn-safe Python
-multiprocessing (the same discipline as :mod:`repro.campaign`):
+caps the state spaces it can hold.  This engine is the *capacity* path:
+it partitions the seen-set over worker processes as 64-bit fingerprints
+(spillable to mmap files with ``store_dir``) using the classic TLC
+worker architecture, adapted to spawn-safe Python multiprocessing (the
+same discipline as :mod:`repro.campaign`).  It is not a speed path —
+every measurement taken so far (0.21-0.26x the serial engine at 4
+workers, on 1- and 2-core hosts) has it slower than serial:
 
 * **sharded fingerprint ownership** — the 64 fingerprint-prefix shards
   of :mod:`repro.spec.fingerprint` are dealt round-robin to ``N``
@@ -111,15 +115,12 @@ def _worker_main(conn, worker_id: int, nworkers: int, source: SpecSource,
             validate_por_hints=False,
             por_deps=options.get("por_deps", False),
             profile=options.get("profile", False),
-            compiled=options.get("compiled", False),
-            uncompiled_labels=options.get("uncompiled_labels", ()))
-        # Worker-local phase/label profiler; snapshots ship back on
-        # finalize and the coordinator merges them (repro.obs.prof).
+            compiled=options.get("compiled", False))
+        # Worker-local phase/label profiler on its chained clock
+        # (mark/lap, shared with checker._successors); snapshots ship
+        # back on finalize and the coordinator merges them.
         prof = checker.profiler
         perf = time.perf_counter
-        if prof is not None:
-            phase_s = prof.phase_s
-            phase_calls = prof.phase_calls
         exact = options["exact"]
         need_liveness = bool(spec.eventually_always)
         live_predicates = list(spec.eventually_always.values())
@@ -165,22 +166,17 @@ def _worker_main(conn, worker_id: int, nworkers: int, source: SpecSource,
                 outbox: dict[int, list] = {}
                 for state, fp, parent_fp, action in candidates:
                     payload = canonical_bytes(state) if exact else None
-                    if prof is None:
-                        added = store.add(fp, payload)
-                    else:
-                        t0 = perf()
-                        added = store.add(fp, payload)
-                        t1 = perf()
-                        phase_s[dedup_phase] += t1 - t0
-                        phase_calls[dedup_phase] += 1
+                    if prof is not None:
+                        prof.mark()
+                    added = store.add(fp, payload)
+                    if prof is not None:
+                        prof.lap(dedup_phase)
                     if not added:
                         duplicates += 1
                         continue
                     accepted += 1
                     breadcrumbs[fp] = (parent_fp, action)
                     depth_of[fp] = depth
-                    if prof is not None:
-                        t0 = perf()
                     view = spec.view(state)
                     for name, predicate in spec.invariants.items():
                         if not predicate(view):
@@ -190,11 +186,9 @@ def _worker_main(conn, worker_id: int, nworkers: int, source: SpecSource,
                         live_bits[fp] = tuple(
                             bool(p(view)) for p in live_predicates)
                     if prof is not None:
-                        t1 = perf()
-                        phase_s["property_eval"] += t1 - t0
-                        phase_calls["property_eval"] += 1
-                        # _successors charges por_ample and per-label
-                        # successor_gen itself: checker.profiler is set.
+                        prof.lap("property_eval")
+                    # _successors charges por_ample and per-label
+                    # successor_gen to the same clock itself.
                     successors = checker._successors(state)
                     if (options["check_deadlock"] and not successors
                             and any(pc is not None and not process.daemon
@@ -204,45 +198,32 @@ def _worker_main(conn, worker_id: int, nworkers: int, source: SpecSource,
                             ("deadlock", "no-enabled-step", depth, fp))
                     for succ_action, successor in successors:
                         transitions += 1
-                        if prof is not None:
-                            rt = perf()
-                        memo = fp_memo.get(successor)
-                        if memo is None:
-                            if prof is None:
-                                canon = checker._canonical(successor)
-                                succ_fp = fingerprint_state(canon)
-                            else:
-                                canon = checker._canonical(successor)
-                                t1 = perf()
-                                phase_s["canonicalize"] += t1 - rt
-                                phase_calls["canonicalize"] += 1
-                                succ_fp = fingerprint_state(canon)
-                                rt = perf()
-                                phase_s["fingerprint"] += rt - t1
-                                phase_calls["fingerprint"] += 1
+                        cached = fp_memo.get(successor)
+                        if cached is None:
+                            canon = checker._canonical(successor)
+                            if prof is not None:
+                                prof.lap("canonicalize")
+                            succ_fp = fingerprint_state(canon)
+                            if prof is not None:
+                                prof.lap("fingerprint")
                             fp_memo[successor] = (canon, succ_fp)
                         else:
-                            canon, succ_fp = memo
+                            canon, succ_fp = cached
                         if need_liveness:
                             edges.append((fp, succ_fp))
-                        if succ_fp in routed:
-                            if prof is not None:
-                                phase_s["dedup"] += perf() - rt
-                                phase_calls["dedup"] += 1
-                            continue
-                        routed.add(succ_fp)
-                        owner = shard_of(succ_fp) % nworkers
-                        candidate = (canon, succ_fp, fp, succ_action)
-                        if owner == worker_id:
-                            local_next.append(candidate)
-                        else:
-                            outbox.setdefault(owner, []).append(candidate)
+                        if succ_fp not in routed:
+                            routed.add(succ_fp)
+                            owner = shard_of(succ_fp) % nworkers
+                            candidate = (canon, succ_fp, fp, succ_action)
+                            if owner == worker_id:
+                                local_next.append(candidate)
+                            else:
+                                outbox.setdefault(owner, []).append(candidate)
                         if prof is not None:
                             # Routed-filter membership + routing rides
                             # the dedup phase (it is the cross-worker
                             # half of deduplication).
-                            phase_s["dedup"] += perf() - rt
-                            phase_calls["dedup"] += 1
+                            prof.lap("dedup")
                 serialize_t0 = perf()
                 outbox_blobs = {dest: pickle.dumps(batch)
                                 for dest, batch in outbox.items()}
@@ -469,7 +450,6 @@ def run_parallel(checker: ModelChecker) -> CheckResult:
         "por_deps": checker.use_por_deps,
         "profile": checker.profile,
         "compiled": checker.compiled,
-        "uncompiled_labels": checker.uncompiled_labels,
         "store_dir": checker.store_dir,
     }
     pool = _Pool(nworkers, source, options)
@@ -638,7 +618,6 @@ def run_parallel(checker: ModelChecker) -> CheckResult:
         })
     if checker.store_dir is not None:
         result.stats["store_dir"] = checker.store_dir
-    checker._record_auto_choice(result.stats)
     if explore_s > 0:
         result.stats["states_per_s"] = round(total_states / explore_s, 1)
     if checker.profile:

@@ -94,8 +94,7 @@ def _swarm_worker(conn, worker_id: int, nworkers: int, source: SpecSource,
             check_deadlock=options["check_deadlock"],
             validate_por_hints=False,
             por_deps=options.get("por_deps", False),
-            compiled=options.get("compiled", False),
-            uncompiled_labels=options.get("uncompiled_labels", ()))
+            compiled=options.get("compiled", False))
         rng = random.Random(f"{options['seed']}:{worker_id}")
         max_steps = options.get("max_steps")
         max_states = options["max_states"]
@@ -221,7 +220,6 @@ def swarm_check(source: SpecSource, *, workers: int = 2, seed: int = 0,
                 max_steps: Optional[int] = None,
                 store_dir: Optional[str] = None,
                 compiled: bool = False,
-                uncompiled_labels=(),
                 symmetry: bool = True, por: bool = True,
                 por_deps: bool = False,
                 check_deadlock: bool = True,
@@ -244,8 +242,7 @@ def swarm_check(source: SpecSource, *, workers: int = 2, seed: int = 0,
     # Replay/liveness helper (serial; shares the swarm's POR settings).
     replayer = ModelChecker(
         spec, symmetry=symmetry, por=por, check_deadlock=check_deadlock,
-        validate_por_hints=False, por_deps=por_deps, compiled=compiled,
-        uncompiled_labels=uncompiled_labels)
+        validate_por_hints=False, por_deps=por_deps, compiled=compiled)
     exhaustive = max_steps is None
     options = {
         "symmetry": symmetry,
@@ -253,7 +250,6 @@ def swarm_check(source: SpecSource, *, workers: int = 2, seed: int = 0,
         "por_deps": por_deps,
         "check_deadlock": check_deadlock,
         "compiled": compiled,
-        "uncompiled_labels": tuple(uncompiled_labels),
         "seed": seed,
         "max_steps": max_steps,
         "max_states": max_states,

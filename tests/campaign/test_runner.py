@@ -1,9 +1,8 @@
 """Campaign expansion, execution, caching and aggregation.
 
-The heavier guarantees (4-worker speedup, full-figure sweeps) live in
-``benchmarks/test_campaign.py``; here the fast experiments exercise
-every code path: expansion determinism, content-keyed caching, serial
-vs parallel byte-identity and artifact validity.
+The full-figure sweeps run as CI campaigns; here the fast experiments
+exercise every code path: expansion determinism, content-keyed caching,
+serial vs parallel byte-identity and artifact validity.
 """
 
 import json

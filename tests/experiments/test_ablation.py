@@ -1,8 +1,9 @@
-"""Tests for the re-broken controller variants (defense in depth)."""
+"""Tests for the re-broken controller and spec variants."""
 
 import pytest
 
 from repro.experiments.ablation import (
+    _STATIC_VARIANTS,
     AcceptAnyAckController,
     BuggyRecoveryOrderController,
     NoStatusGuardController,
@@ -47,3 +48,25 @@ def test_buggy_order_variant_exposes_hidden_entries():
             or buggy.duplicate_installs > stock.duplicate_installs)
     assert result.spec_verdicts["spec: final controller"] is True
     assert result.spec_verdicts["spec: buggy recovery order"] is False
+
+
+@pytest.mark.parametrize("variant", sorted(_STATIC_VARIANTS))
+def test_static_and_dynamic_verdicts_agree(variant):
+    """Speclint and the checker agree on every re-broken variant.
+
+    A statically clean variant must verify; a statically flagged one
+    must be dynamically refuted — or, for the forged POR hint, be
+    refused outright by the checker before exploration.
+    """
+    from repro.analysis import analyze_spec
+    from repro.spec.checker import UnsoundPORHintError, check
+
+    factory, expected_clean = _STATIC_VARIANTS[variant]
+    static_clean = not analyze_spec(factory()).findings
+    assert static_clean == expected_clean
+
+    try:
+        dynamic_ok = check(factory()).ok
+    except UnsoundPORHintError:
+        dynamic_ok = False
+    assert dynamic_ok == static_clean

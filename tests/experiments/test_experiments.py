@@ -1,8 +1,11 @@
 """Smoke/shape tests for the experiment harnesses (fast subset).
 
-Heavy experiments run in `benchmarks/`; here we cover the fast ones
-end-to-end and the shared machinery.
+Heavy experiments run in the campaign sweeps; here we cover the fast
+ones end-to-end and the shared machinery.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +92,17 @@ def test_tablea1_shape():
     assert result.total > 1000
 
 
+def test_tablea1_committed_rows_are_true_at_head():
+    """The committed Table A.1 is a line count of files in this tree: a
+    PR that edits one of them regenerates BENCH_campaign.json."""
+    artifact = json.loads(
+        (Path(__file__).parents[2] / "BENCH_campaign.json").read_text())
+    fields = ("spec", "lines", "source")
+    committed = [{key: row[key] for key in fields}
+                 for row in artifact["experiments"]["tableA1"]["rows"]]
+    assert EXPERIMENTS["tableA1"](quick=True).rows() == committed
+
+
 def test_figa6_shape():
     result = EXPERIMENTS["figA6"](quick=True)
     assert result.check_shape() == []
@@ -127,6 +141,15 @@ def test_cli_rejects_unknown(capsys):
 
     assert main(["no-such-experiment"]) == 2
     assert main(["check", "no-such-spec"]) == 2
+
+
+def test_cli_workers_takes_an_integer_only(capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "controller", "--workers", "auto"])
+    assert exit_info.value.code == 2
+    assert "invalid int value: 'auto'" in capsys.readouterr().err
 
 
 def test_cli_rejects_workers_with_incremental_fp(capsys):

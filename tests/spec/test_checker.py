@@ -176,16 +176,15 @@ ENGINES = [{}, {"fingerprint_mode": "incremental"}, {"compiled": True}]
 @pytest.mark.parametrize("engine", ENGINES, ids=["interp", "incfp", "compiled"])
 def test_initial_state_violation_takes_the_common_exit_path(engine, tmp_path):
     """A run that stops on its *initial* state is still a full run: the
-    trace file is written, progress is closed, the registry and the
-    ``workers="auto"`` choice are reported, and ``stats`` has the keys
-    of any other run of that engine."""
+    trace file is written, progress is closed, the registry is reported
+    to, and ``stats`` has the keys of any other run of that engine."""
     trace = tmp_path / "trace.json"
     stream = io.StringIO()
     registry = MetricsRegistry()
     result = ModelChecker(
         counter_spec(3, invariant_cap=-1), trace_out=str(trace),
         progress=Progress(stream=stream), registry=registry,
-        workers="auto", **engine).run()
+        **engine).run()
     assert not result.ok
     assert (result.distinct_states, result.transitions, result.diameter) \
         == (1, 0, 0)
@@ -194,8 +193,7 @@ def test_initial_state_violation_takes_the_common_exit_path(engine, tmp_path):
     assert "traceEvents" in json.loads(trace.read_text())
     assert "states=1" in stream.getvalue()
     assert registry.counter("checker0.states").value == 1
-    assert result.stats["workers_requested"] == "auto"
-    passing = ModelChecker(counter_spec(3), workers="auto", **engine).run()
+    passing = ModelChecker(counter_spec(3), **engine).run()
     assert set(result.stats) == set(passing.stats)
     if "compiled" in result.stats:
         assert set(result.stats["compiled"]) == set(passing.stats["compiled"])

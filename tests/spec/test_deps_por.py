@@ -16,11 +16,6 @@ import os
 import pytest
 
 from repro.spec import ModelChecker
-from repro.spec.checker import (
-    AUTO_WORKERS,
-    AUTO_WORKERS_MIN_CPUS,
-    resolve_auto_workers,
-)
 from repro.spec.specs import SPEC_SOURCES
 
 LARGE = ("controller-large", "drain-app-full-core")
@@ -76,35 +71,7 @@ def test_deps_ample_contains_hints_and_is_cached():
     assert checker._deps_ample() is ample  # computed once
 
 
-# -- workers="auto" -----------------------------------------------------------------
-def test_resolve_auto_workers():
-    assert resolve_auto_workers(cpus=1) is None
-    assert resolve_auto_workers(cpus=AUTO_WORKERS_MIN_CPUS - 1) is None
-    assert resolve_auto_workers(cpus=AUTO_WORKERS_MIN_CPUS) == AUTO_WORKERS
-    assert resolve_auto_workers(cpus=64) == AUTO_WORKERS
-    # Without a spec source the parallel engine cannot run at all.
-    assert resolve_auto_workers(cpus=64, has_spec_source=False) is None
-
-
-def test_workers_auto_records_choice_in_stats():
-    source = SPEC_SOURCES["te-app"]
-    result = ModelChecker(source.build(), workers="auto",
-                          spec_source=source).run()
-    stats = result.stats
-    assert stats["workers_requested"] == "auto"
-    assert stats["host_cpus"] == (os.cpu_count() or 1)
-    expected = resolve_auto_workers(stats["host_cpus"])
-    assert stats["workers"] == expected
-    assert stats["engine"] == ("serial" if expected is None else "parallel")
-
-
-def test_workers_auto_without_source_is_serial():
-    result = ModelChecker(SPEC_SOURCES["te-app"].build(),
-                          workers="auto").run()
-    assert result.stats["engine"] == "serial"
-    assert result.stats["workers"] is None
-
-
+# -- the workers option ---------------------------------------------------------------
 def test_explicit_workers_leave_stats_unannotated():
     result = ModelChecker(SPEC_SOURCES["te-app"].build()).run()
     assert "workers_requested" not in result.stats
@@ -112,7 +79,9 @@ def test_explicit_workers_leave_stats_unannotated():
 
 def test_non_integer_workers_rejected():
     spec = SPEC_SOURCES["te-app"].build()
-    with pytest.raises(ValueError, match="workers"):
-        ModelChecker(spec, workers="four")
+    for word in ("four", "auto"):
+        with pytest.raises(ValueError,
+                           match="workers must be >= 1, or None for serial"):
+            ModelChecker(spec, workers=word)
     with pytest.raises(ValueError, match="workers"):
         ModelChecker(spec, workers=True)

@@ -211,12 +211,12 @@ def test_stats_contract_the_benchmark_reads(workload):
         assert "fp_slots_digested" not in stats
     if BENCHED[workload].get("compiled"):
         compiled = stats["compiled"]
-        for key in ("probes", "label_fills", "labels_codegen", "labels_memo",
-                    "labels_interp"):
+        # bench/run.py reads labels_codegen / labels_interp through
+        # .get(..., 0); the engine no longer has those tiers to report.
+        for key in ("probes", "label_fills", "labels_memo"):
             assert isinstance(compiled[key], int), key
         assert 0 < compiled["label_fills"] <= compiled["probes"]
-        assert (compiled["labels_codegen"] + compiled["labels_memo"]
-                + compiled["labels_interp"]) == compiled["labels"] > 0
+        assert compiled["labels_memo"] == compiled["labels"] > 0
     else:
         assert "compiled" not in stats
 
